@@ -60,8 +60,9 @@ def _random_smooth_field(grid: GridND, rng: np.random.Generator) -> Field:
 # floats (or ints) aligned with the header.
 
 
-def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
+def _apply_configured_op(problem: dict, n: int, field_key: str
+                         ) -> tuple[GridND, Field]:
+    """(grid, configured operator applied to the field under field_key)."""
     grid = build_grid(problem, n)
     ndim = grid.ndim
     kind = OpKind[problem["op"]]
@@ -71,8 +72,14 @@ def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]
     axis = problem.get("axis", 0)
     plan = make_plan(kind, orders[axis], psets[axis], kernels[axis],
                      grid.axes[axis], axis=axis)
-    f = _expr_field(grid, build_expression(problem, "field", ndim))
-    out = apply_op_nd(plan, f)
+    f = _expr_field(grid, build_expression(problem, field_key, ndim))
+    return grid, apply_op_nd(plan, f)
+
+
+def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
+    problem = cfg.problem
+    grid, out = _apply_configured_op(problem, n, "field")
+    ndim = grid.ndim
     oracle_fn = build_expression(problem, "oracle", ndim, required=False)
     header = [f"t{i + 1}" for i in range(ndim)] + ["value"]
     oracle = None
@@ -189,19 +196,9 @@ def _run_wave_residual(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[l
 
 def _run_convergence_sweep(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
     problem = cfg.problem
-    grid = build_grid(problem, n)
-    ndim = grid.ndim
-    kind = OpKind[problem["op"]]
-    psets = build_psets(problem, "psets", ndim)
-    orders = build_orders(problem, "orders", ndim)
-    kernels = build_kernels(problem, "kernels", ndim)
-    axis = problem.get("axis", 0)
-    plan = make_plan(kind, orders[axis], psets[axis], kernels[axis],
-                     grid.axes[axis], axis=axis)
-    f = _expr_field(grid, build_expression(problem, "f", ndim))
-    out = apply_op_nd(plan, f)
+    grid, out = _apply_configured_op(problem, n, "f")
     oracle = np.broadcast_to(
-        np.asarray(build_expression(problem, "oracle", ndim)(grid.coords()),
+        np.asarray(build_expression(problem, "oracle", grid.ndim)(grid.coords()),
                    dtype=float), grid.shape)
     err = interior_max_abs(Field(grid, (out.values[0] - oracle)[np.newaxis]))
     return ["n", "max_interior_error"], [[n, err]]
@@ -266,7 +263,7 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
     for the key forms."""
     report = {}
     err_col = None
-    for name in ("residual_abs", "max_interior_error", "max_interior_residual"):
+    for name in _ERROR_COLUMN.values():
         if name in header:
             err_col = header.index(name)
             break
@@ -302,9 +299,13 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write via a renamed temporary file, with mode 0o666 & ~umask."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracvar-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -27,12 +27,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (BoundaryViolation, DegenerateEnergy, FracvarError,
-                     GridMismatch, NoConvergence)
+from .errors import (DegenerateEnergy, FracvarError, GridMismatch,
+                     NoConvergence)
 from .ibp import volume_integral
 from .model import Field, GridND, KernelSpec, ParamSet, same_grid
 from .operators import OpKind, adjoint_apply, apply_matrix_along_axis, \
-    apply_op_nd, make_plan
+    apply_op_nd, axis_plans
+from .variational import check_admissible
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ class DirichletSpec:
     boundary: Field
     tol: float = 1e-10
     max_iter: Optional[int] = None
+    ncomp = 1   # the problem is scalar; read by check_admissible
 
     def __post_init__(self) -> None:
         d = self.grid.ndim
@@ -61,9 +63,8 @@ class DirichletSpec:
             raise GridMismatch("the Dirichlet problem is scalar (N = 1)")
 
     def b_plans(self):
-        return [make_plan(OpKind.B, self.alphas[i], self.psets[i],
-                          self.kernels[i], self.grid.axes[i], axis=i)
-                for i in range(self.grid.ndim)]
+        return axis_plans(OpKind.B, self.alphas, self.psets, self.kernels,
+                          self.grid)
 
 
 class MinimizeResult(NamedTuple):
@@ -72,20 +73,9 @@ class MinimizeResult(NamedTuple):
     gradient_norm: float
 
 
-def _check_admissible(spec: DirichletSpec, u: Field, tol: float = 1e-12) -> None:
-    same_grid(u.grid, spec.grid)
-    if u.ncomp != 1:
-        raise GridMismatch("the Dirichlet problem is scalar (N = 1)")
-    mask = ~spec.grid.interior_mask()
-    diff = np.max(np.abs(u.values[:, mask] - spec.boundary.values[:, mask]))
-    if diff > tol:
-        raise BoundaryViolation(
-            f"boundary trace differs from psi by {diff:.3e} (> {tol})")
-
-
 def energy(spec: DirichletSpec, u: Field) -> float:
     """J[u] = sum_i int (B_i u)^2 dt by the shared trapezoid quadrature."""
-    _check_admissible(spec, u)
+    check_admissible(spec, u)
     total = 0.0
     for bp in spec.b_plans():
         bu = apply_op_nd(bp, u).data
@@ -145,7 +135,7 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
     """
     if init is None:
         init = transfinite_init(spec.grid, spec.boundary)
-    _check_admissible(spec, init)
+    check_admissible(spec, init)
 
     if all(ps.p == 0.0 and ps.q == 0.0 for ps in spec.psets):
         warnings.warn("all p-set weights vanish: the energy is identically "

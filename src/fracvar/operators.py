@@ -16,6 +16,10 @@ cell slopes of f (the classical L1 construction, accuracy O(h^(2-alpha))
 for power kernels).  A composes a second-order finite-difference derivative
 with the K^(1-alpha) samples.
 
+A plan holds one matrix p*L + q*R, L lower-Toeplitz in the cell-moment
+symbol with a first-column correction and R its index flip; A's derivative
+is a 3-point stencil, never a dense matrix.
+
 Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.
 """
@@ -44,16 +48,28 @@ class OpKind(enum.Enum):
     B = "B"
 
 
-def d_matrix(grid: Grid1D) -> np.ndarray:
-    """Second-order derivative matrix: central interior rows, one-sided ends."""
-    n, h = grid.n, grid.h
-    D = np.zeros((n + 1, n + 1))
-    rows = np.arange(1, n)
-    D[rows, rows - 1] = -0.5 / h
-    D[rows, rows + 1] = 0.5 / h
-    D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    D[n, n - 2:n + 1] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    return D
+def derivative_along_axis(values: np.ndarray, grid: Grid1D, axis: int,
+                          transpose: bool = False) -> np.ndarray:
+    """Second-order derivative (central interior, one-sided 3-point ends) of
+    every line of values (component axis 0 excluded) along axis, or its
+    transpose.  Terms are scaled before they are summed, as in a dense row."""
+    h = grid.h
+    c = 0.5 / h
+    first = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    last = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    f = np.moveaxis(values, axis + 1, 0)
+    if transpose:
+        out = np.zeros_like(f)
+        out[:-2] -= c * f[1:-1]
+        out[2:] += c * f[1:-1]
+        out[:3] += np.multiply.outer(first, f[0])
+        out[-3:] += np.multiply.outer(last, f[-1])
+    else:
+        out = np.empty_like(f)
+        out[1:-1] = c * f[2:] - c * f[:-2]
+        out[0] = first[0] * f[0] + first[1] * f[1] + first[2] * f[2]
+        out[-1] = last[0] * f[-3] + last[1] * f[-2] + last[2] * f[-1]
+    return np.moveaxis(out, 0, axis + 1)
 
 
 def _check_tabulated_resolution(kernel: KernelSpec, grid: Grid1D) -> None:
@@ -106,50 +122,39 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
     return m0, u, v
 
 
-def k_weight_parts(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Left (lower-triangular) and right (upper-triangular) product-integration
-    weight matrices for the K operator, before p/q scaling."""
-    n = grid.n
-    _, u, v = _cell_moments(kernel, grid)
-    # w(d) = u(d) + v(d+1) is the weight of an interior node at distance d.
-    w = u.copy()
-    w[:-1] += v[1:]
-    idx = np.arange(n + 1)
-    dist = np.subtract.outer(idx, idx)          # j - i
-    L = np.zeros((n + 1, n + 1))
-    inner = dist >= 1
-    L[inner] = w[dist[inner] - 1]
-    L[idx[1:], idx[1:]] = v[0]
-    L[idx[1:], 0] = u[idx[1:] - 1]
-    L[0, :] = 0.0
-    R = L[::-1, ::-1].copy()
-    return L, R
-
-
-def b_weight_parts(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right weight matrices for the B operator (L1 construction),
-    before p/q scaling.  Rows sum to zero: B annihilates constants exactly."""
-    n, h = grid.n, grid.h
-    m0, _, _ = _cell_moments(kernel, grid)
-    idx = np.arange(n + 1)
-    dist = np.subtract.outer(idx, idx)          # j - i
-    BL = np.zeros((n + 1, n + 1))
-    inner = (dist >= 1) & (np.arange(n + 1)[None, :] >= 1)
-    m0e = np.concatenate([m0, [0.0]])           # m0e[d-1] = m0(d); pad unused
-    BL[inner] = (m0e[dist[inner]] - m0e[dist[inner] - 1]) / h
-    BL[idx[1:], idx[1:]] = m0[0] / h
-    BL[idx[1:], 0] = -m0[idx[1:] - 1] / h
-    BL[0, :] = 0.0
-    BR = -BL[::-1, ::-1].copy()
-    return BL, BR
+def _weight_matrix(kind: OpKind, pset: ParamSet, kernel: KernelSpec,
+                   grid: Grid1D) -> np.ndarray:
+    """p*L + q*R of the K quadrature (K, A) or the L1 construction (B).  L
+    is lower-Toeplitz in i - j with column 0 replaced by the first-cell
+    correction and row 0 zero; R flips L (negated for B, whose rows then sum
+    to zero, so B annihilates constants exactly)."""
+    h = grid.h
+    m0, u, v = _cell_moments(kernel, grid)
+    if kind is OpKind.B:
+        symbol = np.concatenate([m0[:1], np.diff(m0, append=0.0)]) / h
+        column0, sign = -m0 / h, -1.0
+    else:
+        # An interior node at distance d >= 1 weighs u(d) + v(d+1).
+        symbol = np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]])
+        column0, sign = u, 1.0
+    m = symbol.size
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.zeros(m - 1), symbol]), m)
+    L = window[:, ::-1].copy()                  # L[i, j] = symbol[i - j]
+    L[1:, 0] = column0
+    L[0] = 0.0
+    R = L[::-1, ::-1] * (sign * pset.q)
+    L *= pset.p
+    L += R
+    return L
 
 
 @dataclass(frozen=True)
 class FracOpPlan:
-    """A compiled partial operator: kind, order, p-set, kernel, axis, and the
-    precomputed quadrature weight matrices (left part lower-triangular, right
-    part upper-triangular; for A these are the inner K^(1-alpha) parts and the
-    derivative matrix is folded into ``matrix``)."""
+    """A compiled partial operator: kind, order, p-set, kernel, axis, grid
+    and one read-only quadrature matrix.  For K and B, ``matrix`` is the
+    operator's p*L + q*R; for A it is the inner K^(1-alpha) matrix, and the
+    derivative is applied as a stencil after it."""
 
     kind: OpKind
     order: float
@@ -157,16 +162,12 @@ class FracOpPlan:
     kernel: KernelSpec
     axis: int
     grid: Grid1D
-    left_weights: np.ndarray
-    right_weights: np.ndarray
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("left_weights", "right_weights", "matrix"):
-            arr = getattr(self, name)
-            arr = np.asarray(arr, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.matrix, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
 
 
 def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
@@ -198,15 +199,16 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     if axis < 0:
         raise AxisError(f"axis must be nonnegative, got {axis}")
 
-    if kind is OpKind.B:
-        left, right = b_weight_parts(kernel, grid)
-        matrix = pset.p * left + pset.q * right
-    else:
-        left, right = k_weight_parts(kernel, grid)
-        matrix = pset.p * left + pset.q * right
-        if kind is OpKind.A:
-            matrix = d_matrix(grid) @ matrix
-    return FracOpPlan(kind, order, pset, kernel, axis, grid, left, right, matrix)
+    return FracOpPlan(kind, order, pset, kernel, axis, grid,
+                      _weight_matrix(kind, pset, kernel, grid))
+
+
+def axis_plans(kind: OpKind, orders, psets, kernels, grid: GridND
+               ) -> list[FracOpPlan]:
+    """One plan per axis i of grid from orders[i], psets[i], kernels[i]."""
+    return [make_plan(kind, orders[i], psets[i], kernels[i], grid.axes[i],
+                      axis=i)
+            for i in range(grid.ndim)]
 
 
 def apply_matrix_along_axis(M: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -233,21 +235,16 @@ def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
 
     B subtracts the line's first value before the weighted sum: the operator
     annihilates constants analytically, and centering makes that exact in
-    floating point.  A applies the inner K^(1-alpha) weights first and the
-    derivative second, so its samples coincide bitwise with the derivative of
-    the K^(1-alpha) samples; plan.matrix keeps the composed product for
-    transposition."""
+    floating point.  A applies plan.matrix (the inner K^(1-alpha) weights)
+    first and the derivative stencil second, so its samples coincide bitwise
+    with the stencil derivative of the K^(1-alpha) samples."""
     _check_plan_grid(plan, f)
     vals = f.values
     if plan.kind is OpKind.B:
         vals = vals - np.take(vals, [0], axis=plan.axis + 1)
-        out = apply_matrix_along_axis(plan.matrix, vals, plan.axis)
-    elif plan.kind is OpKind.A:
-        inner = plan.pset.p * plan.left_weights + plan.pset.q * plan.right_weights
-        out = apply_matrix_along_axis(inner, vals, plan.axis)
-        out = apply_matrix_along_axis(d_matrix(plan.grid), out, plan.axis)
-    else:
-        out = apply_matrix_along_axis(plan.matrix, vals, plan.axis)
+    out = apply_matrix_along_axis(plan.matrix, vals, plan.axis)
+    if plan.kind is OpKind.A:
+        out = derivative_along_axis(out, plan.grid, plan.axis)
     flagged = (plan.kind is OpKind.A
                and plan.kernel.family is KernelFamily.RIEMANN_LIOUVILLE)
     return Field(f.grid, out, flagged_boundary=flagged)
@@ -270,17 +267,16 @@ def frac_gradient(f: Field, kind: OpKind, psets, orders, kernels) -> list[Field]
         raise LengthMismatch(
             f"need {d} p-sets/orders/kernels, got "
             f"{len(psets)}/{len(orders)}/{len(kernels)}")
-    out = []
-    for i in range(d):
-        plan = make_plan(kind, orders[i], psets[i], kernels[i],
-                         f.grid.axes[i], axis=i)
-        out.append(apply_op_nd(plan, f))
-    return out
+    return [apply_op_nd(plan, f)
+            for plan in axis_plans(kind, orders, psets, kernels, f.grid)]
 
 
 def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
-    """Apply the exact transpose of plan.matrix in the trapezoid inner
-    product along plan.axis: g -> (+/-) w^-1 M^T (w g).
+    """Apply the exact transpose of the plan's operator in the trapezoid
+    inner product along plan.axis: g -> (+/-) w^-1 M^T (w g), with M =
+    plan.matrix for K and B.  For A, M is the derivative stencil after
+    plan.matrix, so the stencil's transpose is applied first and
+    plan.matrix.T second.
 
     With a B-plan and negate=True this realizes A_{P*}^alpha:  the discrete
     counterpart of  int f . B_P eta = -int eta . A_{P*} f  (+ boundary), with
@@ -292,7 +288,10 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     shape = [1] * f.values.ndim
     shape[plan.axis + 1] = w.size
     wb = w.reshape(shape)
-    out = apply_matrix_along_axis(plan.matrix.T, f.values * wb, plan.axis) / wb
+    g = f.values * wb
+    if plan.kind is OpKind.A:
+        g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
+    out = apply_matrix_along_axis(plan.matrix.T, g, plan.axis) / wb
     if negate:
         out = -out
     return Field(f.grid, out, flagged_boundary=f.flagged_boundary)

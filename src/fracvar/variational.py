@@ -33,8 +33,8 @@ from .errors import (BoundaryViolation, DomainError, GradientCheckError,
 from .ibp import volume_integral
 from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet, dual,
                     same_grid)
-from .operators import (OpKind, adjoint_apply, apply_matrix_along_axis,
-                        apply_op_nd, d_matrix, make_plan)
+from .operators import (OpKind, adjoint_apply, apply_op_nd, axis_plans,
+                        derivative_along_axis, make_plan)
 
 _CHECK_RNG_SEED = 1729
 _CHECK_POINTS = 7
@@ -146,28 +146,32 @@ class ProblemSpec:
             if self.boundary.ncomp != self.lagrangian.N:
                 raise GridMismatch("boundary data component count mismatch")
 
+    @property
+    def ncomp(self) -> int:
+        return self.lagrangian.N
+
     def b_plans(self):
-        return [make_plan(OpKind.B, self.alphas[i], self.psets1[i],
-                          self.kernels_alpha[i], self.grid.axes[i], axis=i)
-                for i in range(self.grid.ndim)]
+        return axis_plans(OpKind.B, self.alphas, self.psets1,
+                          self.kernels_alpha, self.grid)
 
     def k_plans(self):
-        return [make_plan(OpKind.K, self.betas[i], self.psets2[i],
-                          self.kernels_beta[i], self.grid.axes[i], axis=i)
-                for i in range(self.grid.ndim)]
+        return axis_plans(OpKind.K, self.betas, self.psets2,
+                          self.kernels_beta, self.grid)
 
     def k_dual_plans(self):
-        return [make_plan(OpKind.K, self.betas[i], dual(self.psets2[i]),
-                          self.kernels_beta[i], self.grid.axes[i], axis=i)
-                for i in range(self.grid.ndim)]
+        return axis_plans(OpKind.K, self.betas,
+                          [dual(ps) for ps in self.psets2],
+                          self.kernels_beta, self.grid)
 
 
-def check_admissible(spec: ProblemSpec, u: Field, tol: float = 1e-12) -> None:
-    """Raise unless u matches the grid and its boundary trace equals psi."""
+def check_admissible(spec, u: Field, tol: float = 1e-12) -> None:
+    """Raise unless u lives on spec.grid with spec.ncomp components and its
+    boundary trace equals spec.boundary (when the spec has one).  Serves
+    ProblemSpec and DirichletSpec alike."""
     same_grid(u.grid, spec.grid)
-    if u.ncomp != spec.lagrangian.N:
+    if u.ncomp != spec.ncomp:
         raise GridMismatch(
-            f"field has {u.ncomp} components, Lagrangian expects {spec.lagrangian.N}")
+            f"field has {u.ncomp} components, the problem expects {spec.ncomp}")
     if spec.boundary is None:
         return
     mask = ~spec.grid.interior_mask()
@@ -197,7 +201,7 @@ def _blocks_mixed(spec: ProblemSpec, u: Field):
     w = np.empty((N, d) + shape)
     for i, bp in enumerate(spec.b_plans()):
         v[:, i] = apply_op_nd(bp, u).values
-        w[:, i] = apply_matrix_along_axis(d_matrix(spec.grid.axes[i]), u.values, i)
+        w[:, i] = derivative_along_axis(u.values, spec.grid.axes[i], i)
     return spec.grid.coords(), u.values, v, w
 
 
@@ -247,7 +251,7 @@ def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
     dw = lag.d_w(t, uu, v, w)
     for i, bp in enumerate(spec.b_plans()):
         res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
-        res -= apply_matrix_along_axis(d_matrix(spec.grid.axes[i]), dw[:, i], i)
+        res -= derivative_along_axis(dw[:, i], spec.grid.axes[i], i)
     return Field(spec.grid, res, flagged_boundary=True)
 
 
@@ -257,7 +261,12 @@ def _second_diff_along_axis(values: np.ndarray, grid: Grid1D, axis: int) -> np.n
 
     Interior nodes are differenced twice, so data whose first differences
     along the axis are all the equal floating-point value (constants, exactly
-    representable linear profiles) map to exact zeros."""
+    representable linear profiles) map to exact zeros.  The end rows read
+    four nodes, so the axis needs at least 3 cells."""
+    if grid.n < 3:
+        raise DomainError(
+            f"the classical second derivative along axis {axis} needs at "
+            f"least 3 cells, got {grid.n}")
     h2 = grid.h ** 2
     out = np.empty_like(values)
     f = np.moveaxis(values, axis + 1, 0)

@@ -164,3 +164,15 @@ def test_summary_reports_absolute_paths(tmp_path):
     assert os.path.isabs(summary["csv"])
     assert set(summary) == {"command", "config", "csv", "rows",
                             "tolerances", "pass"}
+
+
+def test_output_files_follow_umask(tmp_path):
+    payload = load_payload("op_apply_halfint.json")
+    cfg = write_payload(tmp_path, payload)
+    old = os.umask(0o022)
+    try:
+        assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+    finally:
+        os.umask(old)
+    for path in outputs(tmp_path, payload):
+        assert path.stat().st_mode & 0o777 == 0o644

@@ -15,7 +15,8 @@ from fracvar import (Field, GridND, OpKind, ParamSet, adjoint_apply,
 from fracvar.errors import (AxisError, DomainError, GridMismatch,
                             LengthMismatch, OrderError, RangeError)
 from fracvar.ibp import volume_integral
-from fracvar.operators import d_matrix
+from fracvar import operators
+from fracvar.operators import _cell_moments, derivative_along_axis
 
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
 RIGHT = ParamSet(0.0, 1.0, 0.0, 1.0)
@@ -72,12 +73,16 @@ class TestPlanConstruction:
             apply_op_nd(plan, f)
 
     def test_triangular_structure(self):
+        # One-sided p-sets isolate the parts: the left integral is lower
+        # triangular, the right one upper triangular.
         g = make_uniform_grid(0.0, 1.0, 16)
-        for kind in (OpKind.K, OpKind.B):
-            plan = make_plan(kind, 0.5, ParamSet(0.0, 1.0, 0.3, 0.7),
-                             rl_kernel(), g)
-            assert np.all(np.triu(plan.left_weights, 1) == 0.0)
-            assert np.all(np.tril(plan.right_weights, -1) == 0.0)
+        for kind in (OpKind.K, OpKind.A, OpKind.B):
+            left = make_plan(kind, 0.5, LEFT, rl_kernel(), g).matrix
+            right = make_plan(kind, 0.5, RIGHT, rl_kernel(), g).matrix
+            assert np.all(np.triu(left, 1) == 0.0)
+            assert np.all(np.tril(right, -1) == 0.0)
+            assert np.any(np.tril(left, -1) != 0.0)
+            assert np.any(np.triu(right, 1) != 0.0)
 
     def test_plan_matrices_read_only(self):
         g = make_uniform_grid(0.0, 1.0, 8)
@@ -152,7 +157,8 @@ class TestClosedForms:
         a_plan = make_plan(OpKind.A, 0.3, pset, rl_kernel(), grid.axes[0])
         k_plan = make_plan(OpKind.K, 0.7, pset, rl_kernel(), grid.axes[0])
         via_a = apply_op_nd(a_plan, f).values[0]
-        via_k = d_matrix(grid.axes[0]) @ apply_op_nd(k_plan, f).values[0]
+        via_k = derivative_along_axis(apply_op_nd(k_plan, f).values,
+                                      grid.axes[0], 0)[0]
         assert np.array_equal(via_a, via_k)
 
     def test_K_quadratic_convergence_order(self):
@@ -264,17 +270,21 @@ class TestTabulatedKernels:
 
 
 class TestAdjoint:
-    def test_transpose_identity_in_weighted_product(self):
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_transpose_identity_in_weighted_product(self, kind):
+        # <g, M f>_w = <f, M* g>_w; B's adjoint is requested negated (it
+        # realizes -A_{P*}), K's and A's are not.
         grid = grid_1d(0.0, 1.0, 48)
         t = grid.axes[0].nodes
         f = Field(grid, np.sin(3.0 * t))
         g = Field(grid, np.exp(-t))
         pset = ParamSet(0.0, 1.0, 0.7, 0.3)
-        plan = make_plan(OpKind.B, 0.4, pset, rl_kernel(), grid.axes[0])
+        plan = make_plan(kind, 0.4, pset, rl_kernel(), grid.axes[0])
+        negate = kind is OpKind.B
         lhs = volume_integral(Field(grid, g.data * apply_op_nd(plan, f).data))
-        rhs = -volume_integral(
-            Field(grid, f.data * adjoint_apply(plan, g, negate=True).data))
-        assert lhs == pytest.approx(rhs, abs=1e-13)
+        rhs = volume_integral(
+            Field(grid, f.data * adjoint_apply(plan, g, negate=negate).data))
+        assert lhs == pytest.approx(-rhs if negate else rhs, abs=1e-13)
 
     def test_negate_flag(self):
         grid = grid_1d(0.0, 1.0, 16)
@@ -283,6 +293,103 @@ class TestAdjoint:
         plus = adjoint_apply(plan, f, negate=False).values
         minus = adjoint_apply(plan, f, negate=True).values
         np.testing.assert_array_equal(plus, -minus)
+
+
+def _reference_parts(kind, kernel, grid):
+    """Reference left/right weights, assembled densely from integer node
+    distance matrices and masks."""
+    n, h = grid.n, grid.h
+    m0, u, v = _cell_moments(kernel, grid)
+    idx = np.arange(n + 1)
+    dist = np.subtract.outer(idx, idx)
+    L = np.zeros((n + 1, n + 1))
+    if kind is OpKind.B:
+        inner = (dist >= 1) & (np.arange(n + 1)[None, :] >= 1)
+        m0e = np.concatenate([m0, [0.0]])
+        L[inner] = (m0e[dist[inner]] - m0e[dist[inner] - 1]) / h
+        L[idx[1:], idx[1:]] = m0[0] / h
+        L[idx[1:], 0] = -m0[idx[1:] - 1] / h
+        L[0, :] = 0.0
+        return L, -L[::-1, ::-1].copy()
+    w = u.copy()
+    w[:-1] += v[1:]
+    inner = dist >= 1
+    L[inner] = w[dist[inner] - 1]
+    L[idx[1:], idx[1:]] = v[0]
+    L[idx[1:], 0] = u[idx[1:] - 1]
+    L[0, :] = 0.0
+    return L, L[::-1, ::-1].copy()
+
+
+def _reference_d_matrix(grid):
+    """Reference dense derivative matrix of the 3-point stencil."""
+    n, h = grid.n, grid.h
+    D = np.zeros((n + 1, n + 1))
+    rows = np.arange(1, n)
+    D[rows, rows - 1] = -0.5 / h
+    D[rows, rows + 1] = 0.5 / h
+    D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    D[n, n - 2:n + 1] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    return D
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("n", [8, 33, 128])
+    @pytest.mark.parametrize("pq", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4),
+                                    (-1.3, 0.7)])
+    @pytest.mark.parametrize("family", ["rl", "constant", "tabulated"])
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_matrix_matches_dense_assembly_bitwise(self, kind, family, pq, n):
+        g = make_uniform_grid(0.0, 1.0, n)
+        order = 0.6
+        eff = order if kind is OpKind.K else 1.0 - order
+        if family == "rl":
+            kernel = rl_kernel()
+        elif family == "constant":
+            kernel = constant_kernel()
+        else:
+            s = np.linspace(1e-4, 1.0, 4 * n + 1)
+            kernel = tabulated_kernel(
+                np.column_stack([s, s ** (eff - 1.0) / math.gamma(eff)]))
+        plan = make_plan(kind, order, ParamSet(0.0, 1.0, *pq), kernel, g)
+        left, right = _reference_parts(kind, plan.kernel, g)
+        assert np.array_equal(plan.matrix, pq[0] * left + pq[1] * right)
+
+    def test_plan_holds_one_array(self):
+        g = make_uniform_grid(0.0, 1.0, 8)
+        for kind in OpKind:
+            plan = make_plan(kind, 0.5, ParamSet(0.0, 1.0, 0.6, 0.4),
+                             rl_kernel(), g)
+            arrays = [k for k, v in vars(plan).items()
+                      if isinstance(v, np.ndarray)]
+            assert arrays == ["matrix"]
+
+    def test_A_apply_is_one_matvec(self, monkeypatch):
+        calls = []
+        matvec = operators.apply_matrix_along_axis
+        monkeypatch.setattr(operators, "apply_matrix_along_axis",
+                            lambda *a: calls.append(1) or matvec(*a))
+        grid = grid_1d(0.0, 1.0, 16)
+        plan = make_plan(OpKind.A, 0.5, LEFT, rl_kernel(), grid.axes[0])
+        apply_op_nd(plan, Field.constant(grid, 1.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_stencil_matches_dense_derivative(self, transpose):
+        rng = np.random.default_rng(5)
+        grid = GridND((make_uniform_grid(0.0, 1.0, 6),
+                       make_uniform_grid(-1.0, 2.0, 37)))
+        vals = rng.standard_normal((2,) + grid.shape)
+        for axis in (0, 1):
+            D = _reference_d_matrix(grid.axes[axis])
+            M = D.T if transpose else D
+            expect = np.moveaxis(np.tensordot(M, vals, axes=([1], [axis + 1])),
+                                 0, axis + 1)
+            got = derivative_along_axis(vals, grid.axes[axis], axis,
+                                        transpose=transpose)
+            assert got.shape == vals.shape
+            scale = np.max(np.abs(expect))
+            assert np.max(np.abs(got - expect)) <= 1e-13 * scale
 
 
 @settings(max_examples=60, deadline=None)

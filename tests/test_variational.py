@@ -199,6 +199,14 @@ class TestWaveResidual:
             wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel()),
                           [(SYM, 0.5, rl_kernel())] * 2)
 
+    def test_short_space_axis_rejected(self):
+        # The classical second derivative's end rows read four nodes.
+        grid = GridND((make_uniform_grid(0.0, 1.0, 8),
+                       make_uniform_grid(0.0, 1.0, 2)))
+        u = Field.constant(grid, 1.0)
+        with pytest.raises(DomainError, match="axis 1"):
+            wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel()))
+
     def test_boundary_flagged(self):
         u = Field.constant(self.grid2(8), 1.0)
         assert wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel())).flagged_boundary
