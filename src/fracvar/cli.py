@@ -3,18 +3,18 @@
     fracvar CONFIG.json [--output-dir DIR] [--jobs N]
 
 Each config runs one command (see config.COMMANDS), usually over a sweep of
-grid sizes; the rows land in a CSV (17-significant-digit numbers, LF line
-endings) and a ``<output>.summary.json`` records pass/fail per declared
-tolerance.  Exit codes: 0 all tolerances pass, 2 a tolerance failed,
-1 configuration or runtime error.  Output location: --output-dir, else
-$FRACVAR_OUTPUT_DIR, else the config file's directory.
+grid sizes.  The result is one float table: it lands in a CSV (every cell
+``%.17g``, so integers print without a decimal point; LF line endings) and a
+``<output>.summary.json`` records pass/fail per declared tolerance.  Exit
+codes: 0 all tolerances pass, 2 a tolerance failed, 1 configuration or
+runtime error.  Output location: --output-dir, else $FRACVAR_OUTPUT_DIR,
+else the config file's directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import math
 import os
@@ -56,8 +56,10 @@ def _random_smooth_field(grid: GridND, rng: np.random.Generator) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (header, rows); a row is a list of
-# floats (or ints) aligned with the header.
+# Command implementations: each returns (header, rows) for one grid size with
+# the rows aligned with the header.  op-apply returns a float array, one row
+# per node; the others return one row, [[n, ...]].  run_experiment stacks
+# them into one float table.
 
 
 def _apply_configured_op(problem: dict, n: int, field_key: str
@@ -76,25 +78,20 @@ def _apply_configured_op(problem: dict, n: int, field_key: str
     return grid, apply_op_nd(plan, f)
 
 
-def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
+def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], np.ndarray]:
     problem = cfg.problem
     grid, out = _apply_configured_op(problem, n, "field")
     ndim = grid.ndim
     oracle_fn = build_expression(problem, "oracle", ndim, required=False)
     header = [f"t{i + 1}" for i in range(ndim)] + ["value"]
-    oracle = None
+    # C order of the raveled arrays: one row per node, last axis fastest.
+    mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+    columns = [m.ravel() for m in mesh] + [out.values[0].ravel()]
     if oracle_fn is not None:
         header.append("abs_error")
-        oracle = np.broadcast_to(np.asarray(oracle_fn(grid.coords()),
-                                            dtype=float), grid.shape)
-    mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
-    rows = []
-    for idx in np.ndindex(grid.shape):
-        row = [m[idx] for m in mesh] + [out.values[0][idx]]
-        if oracle is not None:
-            row.append(abs(out.values[0][idx] - oracle[idx]))
-        rows.append(row)
-    return header, rows
+        oracle = np.asarray(oracle_fn(grid.coords()), dtype=float)
+        columns.append(np.abs(out.values[0] - oracle).ravel())
+    return header, np.column_stack(columns)
 
 
 def _run_ibp_check(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
@@ -224,33 +221,32 @@ _ERROR_COLUMN = {
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1
-                   ) -> tuple[list[str], list[list]]:
+                   ) -> tuple[list[str], np.ndarray]:
     """Run the command over its sweep (or single default size) and collect
-    rows in sweep order; sweep entries are independent and run in parallel
-    up to ``jobs``."""
+    the rows in sweep order into one float table; sweep entries are
+    independent and run in parallel up to ``jobs``."""
     runner = _RUNNERS[cfg.command]
     sizes = cfg.sweep if cfg.sweep is not None else (
-        int(cfg.problem.get("size", 64)),)
+        cfg.problem.get("size", 64),)
     if jobs > 1 and len(sizes) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda n: runner(cfg, n), sizes))
     else:
         results = [runner(cfg, n) for n in sizes]
     header = results[0][0]
-    rows = [row for _, chunk in results for row in chunk]
+    table = np.concatenate([chunk for _, chunk in results], dtype=float)
     err_col = _ERROR_COLUMN.get(cfg.command)
     if err_col is not None and err_col in header:
-        j = header.index(err_col)
+        # These commands give one row per size.
+        errs = table[:, header.index(err_col)].tolist()
+        order = [math.nan] * len(sizes)
+        for i in range(1, len(sizes)):
+            if errs[i] != 0.0 and errs[i - 1] != 0.0:
+                order[i] = (math.log(errs[i - 1] / errs[i])
+                            / math.log(sizes[i] / sizes[i - 1]))
         header = header + ["order_est"]
-        prev = None
-        for row, n in zip(rows, sizes):
-            if prev is None or row[j] == 0.0 or prev[0] == 0.0:
-                row.append(math.nan)
-            else:
-                row.append(math.log(prev[0] / row[j])
-                           / math.log(n / prev[1]))
-            prev = (row[j], n)
-    return header, rows
+        table = np.column_stack([table, order])
+    return header, table
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
 
 
 def evaluate_tolerances(tolerances: dict, header: list[str],
-                        rows: list[list]) -> dict:
+                        table: np.ndarray) -> dict:
     """Each entry: name -> {bound, value, pass}; see config module docstring
     for the key forms."""
     report = {}
@@ -268,9 +264,8 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
             err_col = header.index(name)
             break
     for key, bound in tolerances.items():
-        if key == "order_est_range":
-            j = header.index("order_est")
-            value = rows[-1][j]
+        if key == "order_est_range" and "order_est" in header:
+            value = table[-1, header.index("order_est")].item()
             ok = (not math.isnan(value)) and bound[0] <= value <= bound[1]
             report[key] = {"bound": bound, "value": value, "pass": bool(ok)}
             continue
@@ -278,7 +273,7 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
             if err_col is None:
                 raise ConfigError(
                     "decrease_factor_min needs an error column", field=key)
-            vals = [row[err_col] for row in rows]
+            vals = table[:, err_col].tolist()
             worst = math.inf
             for a, b in zip(vals, vals[1:]):
                 worst = min(worst, math.inf if b == 0.0 else a / b)
@@ -286,10 +281,9 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
                            "pass": bool(worst >= bound)}
             continue
         if key.endswith("_max") and key[:-4] in header:
-            j = header.index(key[:-4])
-            value = max(row[j] for row in rows)
+            value = max(table[:, header.index(key[:-4])].tolist())
         elif key in header:
-            value = rows[-1][header.index(key)]
+            value = table[-1, header.index(key)].item()
         else:
             raise ConfigError(f"tolerance {key!r} names no CSV column",
                               field=key)
@@ -315,21 +309,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Header line, then one line per table row with every cell ``%.17g``
+    (integers below 2**53 print without a decimal point); LF line endings."""
+    rows, cols = table.shape
+    row_format = ",".join(["%.17g"] * cols) + "\n"
+    body = (row_format * rows) % tuple(table.ravel().tolist())
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def _summary_path(csv_path: str) -> str:
@@ -351,8 +337,8 @@ def run(config_path: str, output_dir: Optional[str] = None,
     """Execute one config; returns the process exit code."""
     try:
         cfg = load_config(config_path)
-        header, rows = run_experiment(cfg, jobs=jobs)
-        report = evaluate_tolerances(cfg.tolerances, header, rows)
+        header, table = run_experiment(cfg, jobs=jobs)
+        report = evaluate_tolerances(cfg.tolerances, header, table)
     except FracvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -361,13 +347,13 @@ def run(config_path: str, output_dir: Optional[str] = None,
     if not os.path.isabs(csv_path):
         csv_path = os.path.join(out_dir, csv_path)
     os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, table)
     passed = all(entry["pass"] for entry in report.values())
     summary = {
         "command": cfg.command,
         "config": os.path.abspath(config_path),
         "csv": os.path.abspath(csv_path),
-        "rows": len(rows),
+        "rows": len(table),
         "tolerances": report,
         "pass": passed,
     }
@@ -377,7 +363,7 @@ def run(config_path: str, output_dir: Optional[str] = None,
         state = "pass" if entry["pass"] else "FAIL"
         print(f"{name}: value={entry['value']:.6g} "
               f"bound={entry['bound']} [{state}]")
-    print(f"{cfg.command}: {len(rows)} rows -> {csv_path} "
+    print(f"{cfg.command}: {len(table)} rows -> {csv_path} "
           f"[{'pass' if passed else 'FAIL'}]")
     return 0 if passed else 2
 

@@ -5,7 +5,7 @@ A config file is one JSON document:
     {
       "command": "ibp-check",
       "problem": { ... nested problem description ... },
-      "sweep": [64, 128, 256],          // optional grid sizes
+      "sweep": [64, 128, 256],          // optional grid sizes, each >= 4
       "tolerances": { "residual_abs": 5e-3, ... },
       "seed": 42,
       "output_path": "ibp.csv"
@@ -13,12 +13,15 @@ A config file is one JSON document:
 
 The problem block names grids, p-sets, orders, kernels, built-in Lagrangians
 and expression-valued functions; everything referenced must resolve at parse
-time (unknown names are ConfigError).  Tolerance keys refer to CSV columns:
-a bare column name bounds the last row's value, ``<column>_max`` bounds the
-maximum over rows, ``decrease_factor_min`` requires successive rows of the
-residual/error column to shrink by at least the given factor, and
-``order_est_range`` is a two-element [lo, hi] window on the final order
-estimate.
+time (unknown names are ConfigError).  Its ``ndim`` is an integer 1..3
+(default 1) and its ``size`` the grid size used when there is no sweep, an
+integer >= 4 like the sweep entries (default 64).
+
+Tolerance keys refer to CSV columns: a bare column name bounds the last
+row's value, ``<column>_max`` bounds the maximum over rows,
+``decrease_factor_min`` requires successive rows of the residual/error
+column to shrink by at least the given factor, and ``order_est_range`` is a
+two-element [lo, hi] window on the final order estimate.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("'sweep' must be a list of integers >= 4",
                               field="sweep")
         sweep = tuple(sweep)
+    size = problem.get("size", 64)
+    if not (isinstance(size, int) and size >= 4):
+        raise ConfigError("'size' must be an integer >= 4", field="size")
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -126,8 +132,9 @@ def build_interval(problem: dict) -> tuple[float, float]:
 
 def build_grid(problem: dict, n: int) -> GridND:
     a, b = build_interval(problem)
-    ndim = int(problem.get("ndim", 1))
-    if not 1 <= ndim <= 3:
+    ndim = problem.get("ndim", 1)
+    if (isinstance(ndim, bool) or not isinstance(ndim, int)
+            or not 1 <= ndim <= 3):
         raise ConfigError("'ndim' must be 1, 2, or 3", field="ndim")
     return GridND(tuple(make_uniform_grid(a, b, n) for _ in range(ndim)))
 
@@ -220,8 +227,7 @@ def validate_problem(cfg: ExperimentConfig) -> None:
     """Resolve every reference in the problem block (grids, p-sets, kernels,
     Lagrangian, expressions) without running anything."""
     problem, command = cfg.problem, cfg.command
-    ndim = int(problem.get("ndim", 1))
-    build_grid(problem, 8)
+    ndim = build_grid(problem, 8).ndim
     if command in ("op-apply", "convergence-sweep"):
         kind = _require(problem, "op", command)
         if kind not in ("K", "A", "B"):

@@ -1,12 +1,17 @@
 """End-to-end checks of the ``fracvar`` command-line driver."""
 
+import csv
+import io
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracvar import cli
+from fracvar.config import build_expression
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
@@ -61,6 +66,14 @@ def test_config_error_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"command": "nope"}', encoding="utf-8")
     assert cli.run(str(path), output_dir=str(tmp_path)) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):
+    payload = load_payload("op_apply_halfint.json")
+    payload["tolerances"]["order_est_range"] = [1, 2]
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -176,3 +189,66 @@ def test_output_files_follow_umask(tmp_path):
         os.umask(old)
     for path in outputs(tmp_path, payload):
         assert path.stat().st_mode & 0o777 == 0o644
+
+
+def reference_csv(header, rows):
+    """The row-list CSV writer the table writer replaced: csv.writer with LF
+    endings, ints as str(int), every other cell %.17g."""
+    def cell(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_write_csv_matches_reference_writer(tmp_path):
+    header = ["n", "a", "b", "c", "d"]
+    rows = [[64, 117649, 2**53 - 1, -0.0, math.nan],
+            [128, math.inf, -math.inf, 5e-324, 1 / 3],
+            [256, 1e300, -1e-300, 0.1, 2.5]]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, np.array(rows, dtype=float))
+    assert path.read_bytes() == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("sweep", [None, [4, 5]], ids=["size", "sweep"])
+def test_op_apply_3d_csv_matches_node_loop(tmp_path, sweep):
+    payload = {
+        "command": "op-apply",
+        "problem": {
+            "ndim": 3,
+            "op": "A",
+            "psets": [[0.7, 0.3]] * 3,
+            "orders": [0.4] * 3,
+            "axis": 1,
+            "field": "t1*t2 + t3^2 + sin(t2)",
+            "oracle": "t1 + t2*t3",
+            "size": 4,
+        },
+        "output_path": "op3d.csv",
+    }
+    if sweep is not None:
+        payload["sweep"] = sweep
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 0
+
+    # The per-node loop the table replaced: C order, last axis fastest.
+    problem = payload["problem"]
+    oracle_fn = build_expression(problem, "oracle", 3)
+    rows = []
+    for n in sweep or [4]:
+        grid, out = cli._apply_configured_op(problem, n, "field")
+        oracle = np.broadcast_to(np.asarray(oracle_fn(grid.coords()),
+                                            dtype=float), grid.shape)
+        mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+        for idx in np.ndindex(grid.shape):
+            rows.append([m[idx] for m in mesh] + [out.values[0][idx],
+                        abs(out.values[0][idx] - oracle[idx])])
+    header = ["t1", "t2", "t3", "value", "abs_error"]
+    assert (tmp_path / "op3d.csv").read_bytes() == reference_csv(header, rows)

@@ -182,12 +182,20 @@ class TestProblemBlocks:
         with pytest.raises(ConfigError, match="interval"):
             load_config(write(tmp_path, payload))
 
-    @pytest.mark.parametrize("ndim", [0, 4])
+    @pytest.mark.parametrize("ndim", [0, 4, "x", 1.7, True])
     def test_ndim_bounds(self, tmp_path, ndim):
         payload = base_op_apply()
         payload["problem"]["ndim"] = ndim
         with pytest.raises(ConfigError, match="ndim"):
             load_config(write(tmp_path, payload))
+
+    @pytest.mark.parametrize("size", ["abc", 64.9, 64.0, 2, None])
+    def test_bad_size(self, tmp_path, size):
+        payload = base_op_apply()
+        payload["problem"]["size"] = size
+        with pytest.raises(ConfigError, match="'size'") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "size"
 
     def test_bad_op(self, tmp_path):
         payload = base_op_apply()
