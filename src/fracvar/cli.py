@@ -3,12 +3,12 @@
     fracvar CONFIG.json [--output-dir DIR] [--jobs N]
 
 Each config runs one command (see config.COMMANDS), usually over a sweep of
-grid sizes.  The result is one float table: it lands in a CSV (every cell
-``%.17g``, so integers print without a decimal point; LF line endings) and a
-``<output>.summary.json`` records pass/fail per declared tolerance.  Exit
-codes: 0 all tolerances pass, 2 a tolerance failed, 1 configuration or
-runtime error.  Output location: --output-dir, else $FRACVAR_OUTPUT_DIR,
-else the config file's directory.
+grid sizes.  load_config resolves the config once; the command's runner gets
+that Problem and one grid per size.  The result is one float table: a CSV
+(``%.17g`` cells, LF line endings) and a ``<output>.summary.json`` with
+pass/fail per declared tolerance.  Exit codes: 0 all tolerances pass, 2 a
+tolerance failed, 1 configuration, runtime or output error.  Output goes to
+--output-dir, else $FRACVAR_OUTPUT_DIR, else the config file's directory.
 """
 
 from __future__ import annotations
@@ -24,16 +24,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_expression, build_grid,
-                     build_kernels, build_lagrangian, build_orders,
-                     build_psets, load_config)
+from .config import ExperimentConfig, Problem, load_config
 from .dirichlet import DirichletSpec, bvp_residual, energy, minimize_energy
 from .errors import ConfigError, FracvarError
 from .ibp import check_K_duality, check_ibp
 from .model import Field, GridND, interior_max_abs
-from .noether import (SymmetryGenerator, chain_identity_residual,
-                      invariance_residual, noether_residual)
-from .operators import OpKind, apply_op_nd, make_plan
+from .noether import (chain_identity_residual, invariance_residual,
+                      noether_residual)
+from .operators import apply_op_nd, make_plan
 from .variational import (ProblemSpec, el_residual, el_residual_mixed,
                           wave_residual)
 
@@ -56,149 +54,91 @@ def _random_smooth_field(grid: GridND, rng: np.random.Generator) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (header, rows) for one grid size with
-# the rows aligned with the header.  op-apply returns a float array, one row
-# per node; the others return one row, [[n, ...]].  run_experiment stacks
-# them into one float table.
+# Command implementations: each takes the resolved problem and one size's grid,
+# builds only what depends on the grid (plans, fields, specs) and returns
+# (header, rows).  op-apply returns a float array, one row per node; the others
+# one row, [[n, ...]].  run_experiment stacks them into one float table.
 
 
-def _apply_configured_op(problem: dict, n: int, field_key: str
-                         ) -> tuple[GridND, Field]:
-    """(grid, configured operator applied to the field under field_key)."""
-    grid = build_grid(problem, n)
-    ndim = grid.ndim
-    kind = OpKind[problem["op"]]
-    psets = build_psets(problem, "psets", ndim)
-    orders = build_orders(problem, "orders", ndim)
-    kernels = build_kernels(problem, "kernels", ndim)
-    axis = problem.get("axis", 0)
-    plan = make_plan(kind, orders[axis], psets[axis], kernels[axis],
-                     grid.axes[axis], axis=axis)
-    f = _expr_field(grid, build_expression(problem, field_key, ndim))
-    return grid, apply_op_nd(plan, f)
+def _apply_configured_op(p: Problem, grid: GridND, fn: Callable) -> Field:
+    """The configured operator applied to the expression field fn."""
+    plan = make_plan(p.op, p.orders[p.axis], p.psets[p.axis],
+                     p.kernels[p.axis], grid.axes[p.axis], axis=p.axis)
+    return apply_op_nd(plan, _expr_field(grid, fn))
 
 
-def _run_op_apply(cfg: ExperimentConfig, n: int) -> tuple[list[str], np.ndarray]:
-    problem = cfg.problem
-    grid, out = _apply_configured_op(problem, n, "field")
-    ndim = grid.ndim
-    oracle_fn = build_expression(problem, "oracle", ndim, required=False)
-    header = [f"t{i + 1}" for i in range(ndim)] + ["value"]
+def _run_op_apply(p: Problem, grid: GridND) -> tuple[list[str], np.ndarray]:
+    out = _apply_configured_op(p, grid, p.field)
+    header = [f"t{i + 1}" for i in range(grid.ndim)] + ["value"]
     # C order of the raveled arrays: one row per node, last axis fastest.
     mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
     columns = [m.ravel() for m in mesh] + [out.values[0].ravel()]
-    if oracle_fn is not None:
+    if p.oracle is not None:
         header.append("abs_error")
-        oracle = np.asarray(oracle_fn(grid.coords()), dtype=float)
+        oracle = np.asarray(p.oracle(grid.coords()), dtype=float)
         columns.append(np.abs(out.values[0] - oracle).ravel())
     return header, np.column_stack(columns)
 
 
-def _run_ibp_check(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid = build_grid(problem, n)
-    ndim = grid.ndim
-    pset = build_psets(problem, "psets", 1)[0]
-    order = build_orders(problem, "orders", 1)[0]
-    kernel = build_kernels(problem, "kernels", 1)[0]
-    axis = problem.get("axis", 0)
-    f = _expr_field(grid, build_expression(problem, "f", ndim))
-    eta = _expr_field(grid, build_expression(problem, "eta", ndim))
-    check = (check_K_duality if problem.get("identity", "full") == "duality"
-             else check_ibp)
-    rep = check(f, eta, pset, order, kernel, axis)
+def _run_ibp_check(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    check = check_K_duality if p.identity == "duality" else check_ibp
+    rep = check(_expr_field(grid, p.f), _expr_field(grid, p.eta),
+                p.psets[0], p.orders[0], p.kernels[0], p.axis)
     header = ["n", "lhs", "rhs", "boundary_term", "residual_abs",
               "residual_rel"]
-    return header, [[n, rep.lhs, rep.rhs, rep.boundary_term, rep.residual,
-                     rep.residual_rel]]
+    return header, [[grid.axes[0].n, rep.lhs, rep.rhs, rep.boundary_term,
+                     rep.residual, rep.residual_rel]]
 
 
-def _variational_spec(cfg: ExperimentConfig, grid: GridND) -> ProblemSpec:
-    problem = cfg.problem
-    ndim = grid.ndim
-    return ProblemSpec(
-        grid, build_lagrangian(problem, ndim),
-        build_psets(problem, "psets1", ndim), build_psets(problem, "psets2", ndim),
-        build_orders(problem, "alphas", ndim), build_orders(problem, "betas", ndim),
-        build_kernels(problem, "kernels_alpha", ndim),
-        build_kernels(problem, "kernels_beta", ndim))
+def _run_el_residual(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    spec = ProblemSpec(grid, p.lagrangian, p.psets1, p.psets2, p.alphas,
+                       p.betas, p.kernels_alpha, p.kernels_beta)
+    u = _expr_field(grid, p.field)
+    res = (el_residual_mixed if p.mixed else el_residual)(spec, u)
+    return ["n", "max_interior_residual"], [[grid.axes[0].n,
+                                             interior_max_abs(res)]]
 
 
-def _run_el_residual(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid = build_grid(problem, n)
-    spec = _variational_spec(cfg, grid)
-    u = _expr_field(grid, build_expression(problem, "field", grid.ndim))
-    res = (el_residual_mixed if problem.get("mixed", False)
-           else el_residual)(spec, u)
-    return ["n", "max_interior_residual"], [[n, interior_max_abs(res)]]
-
-
-def _run_dirichlet_solve(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid = build_grid(problem, n)
-    ndim = grid.ndim
-    psi = _expr_field(grid, build_expression(problem, "boundary", ndim))
-    spec = DirichletSpec(grid, build_psets(problem, "psets", ndim),
-                         build_orders(problem, "alphas", ndim),
-                         build_kernels(problem, "kernels", ndim),
-                         psi, tol=float(problem.get("tol", 1e-10)))
+def _run_dirichlet_solve(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    psi = _expr_field(grid, p.boundary)
+    spec = DirichletSpec(grid, p.psets, p.alphas, p.kernels, psi, tol=p.tol)
     result = minimize_energy(spec)
     header = ["n", "iterations", "gradient_norm", "bvp_residual", "energy"]
-    return header, [[n, result.iterations, result.gradient_norm,
+    return header, [[grid.axes[0].n, result.iterations, result.gradient_norm,
                      interior_max_abs(bvp_residual(spec, result.field)),
                      energy(spec, result.field)]]
 
 
-def _run_noether_check(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid = build_grid(problem, n)
-    spec = _variational_spec(cfg, grid)
-    u0_fn = build_expression(problem, "u0", grid.ndim, required=False)
-    if u0_fn is not None:
-        u = _expr_field(grid, u0_fn)
-    else:
-        u = _random_smooth_field(grid, np.random.default_rng(cfg.seed))
-    gen_fn = build_expression(problem, "generator", grid.ndim, allow_u=True)
-    gen = SymmetryGenerator(
-        lambda t, uu: np.asarray(gen_fn(t, uu[0]), dtype=float)[np.newaxis],
-        description=problem["generator"])
+def _run_noether_check(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    spec = ProblemSpec(grid, p.lagrangian, p.psets1, p.psets2, p.alphas,
+                       p.betas, p.kernels_alpha, p.kernels_beta)
+    u = (_expr_field(grid, p.u0) if p.u0 is not None
+         else _random_smooth_field(grid, np.random.default_rng(p.seed)))
+    gen = p.generator
     header = ["n", "chain_defect", "noether_interior", "invariance_interior"]
-    return header, [[n, chain_identity_residual(spec, u, gen),
+    return header, [[grid.axes[0].n, chain_identity_residual(spec, u, gen),
                      interior_max_abs(noether_residual(spec, u, gen)),
                      interior_max_abs(invariance_residual(spec, u, gen))]]
 
 
-def _run_wave_residual(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid = build_grid(problem, n)
-    ndim = grid.ndim
-    fractional = "space_betas" in problem
-    npsets = ndim if fractional else 1
-    psets = build_psets(problem, "psets", npsets)
-    kernels = build_kernels(problem, "kernels", npsets)
-    alpha = build_orders(problem, "alphas", 1)[0]
-    time_op = (psets[0], alpha, kernels[0])
-    space_ops = None
-    if fractional:
-        betas = build_orders(problem, "space_betas", ndim - 1)
-        space_ops = [(psets[i], betas[i - 1], kernels[i])
-                     for i in range(1, ndim)]
-    u = _expr_field(grid, build_expression(problem, "field", ndim))
-    res = wave_residual(u, float(problem.get("rho", 1.0)),
-                        float(problem.get("stiffness", 1.0)),
+def _run_wave_residual(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    time_op = (p.psets[0], p.alphas[0], p.kernels[0])
+    space_ops = (None if p.space_betas is None
+                 else list(zip(p.psets[1:], p.space_betas, p.kernels[1:])))
+    res = wave_residual(_expr_field(grid, p.field), p.rho, p.stiffness,
                         time_op, space_ops)
-    return ["n", "max_interior_residual"], [[n, interior_max_abs(res)]]
+    return ["n", "max_interior_residual"], [[grid.axes[0].n,
+                                             interior_max_abs(res)]]
 
 
-def _run_convergence_sweep(cfg: ExperimentConfig, n: int) -> tuple[list[str], list[list]]:
-    problem = cfg.problem
-    grid, out = _apply_configured_op(problem, n, "f")
-    oracle = np.broadcast_to(
-        np.asarray(build_expression(problem, "oracle", grid.ndim)(grid.coords()),
-                   dtype=float), grid.shape)
-    err = interior_max_abs(Field(grid, (out.values[0] - oracle)[np.newaxis]))
-    return ["n", "max_interior_error"], [[n, err]]
+def _run_convergence_sweep(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+    if p.oracle is None:
+        raise ConfigError("this command requires expression 'oracle'",
+                          field="oracle")
+    out = _apply_configured_op(p, grid, p.f)
+    oracle = _expr_field(grid, p.oracle)
+    err = interior_max_abs(Field(grid, out.values - oracle.values))
+    return ["n", "max_interior_error"], [[grid.axes[0].n, err]]
 
 
 _RUNNERS = {
@@ -225,14 +165,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
     """Run the command over its sweep (or single default size) and collect
     the rows in sweep order into one float table; sweep entries are
     independent and run in parallel up to ``jobs``."""
-    runner = _RUNNERS[cfg.command]
-    sizes = cfg.sweep if cfg.sweep is not None else (
-        cfg.problem.get("size", 64),)
+    runner, problem = _RUNNERS[cfg.command], cfg.problem
+    sizes = cfg.sweep if cfg.sweep is not None else (problem.size,)
+    grids = (problem.grid(n) for n in sizes)
     if jobs > 1 and len(sizes) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda n: runner(cfg, n), sizes))
+            results = list(pool.map(lambda g: runner(problem, g), grids))
     else:
-        results = [runner(cfg, n) for n in sizes]
+        results = [runner(problem, grid) for grid in grids]
     header = results[0][0]
     table = np.concatenate([chunk for _, chunk in results], dtype=float)
     err_col = _ERROR_COLUMN.get(cfg.command)
@@ -318,11 +258,6 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     _atomic_write(path, ",".join(header) + "\n" + body)
 
 
-def _summary_path(csv_path: str) -> str:
-    stem, _ = os.path.splitext(csv_path)
-    return stem + ".summary.json"
-
-
 def resolve_output_dir(config_path: str, override: Optional[str]) -> str:
     if override:
         return override
@@ -342,12 +277,8 @@ def run(config_path: str, output_dir: Optional[str] = None,
     except FracvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = resolve_output_dir(config_path, output_dir)
-    csv_path = cfg.output_path
-    if not os.path.isabs(csv_path):
-        csv_path = os.path.join(out_dir, csv_path)
-    os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
-    write_csv(csv_path, header, table)
+    csv_path = os.path.join(resolve_output_dir(config_path, output_dir),
+                            cfg.output_path)
     passed = all(entry["pass"] for entry in report.values())
     summary = {
         "command": cfg.command,
@@ -357,8 +288,14 @@ def run(config_path: str, output_dir: Optional[str] = None,
         "tolerances": report,
         "pass": passed,
     }
-    _atomic_write(_summary_path(csv_path),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
+        write_csv(csv_path, header, table)
+        _atomic_write(os.path.splitext(csv_path)[0] + ".summary.json",
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, entry in report.items():
         state = "pass" if entry["pass"] else "FAIL"
         print(f"{name}: value={entry['value']:.6g} "

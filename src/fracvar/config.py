@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, and builders.
+"""Experiment configuration: one schema per command, resolved once.
 
 A config file is one JSON document:
 
@@ -12,10 +12,15 @@ A config file is one JSON document:
     }
 
 The problem block names grids, p-sets, orders, kernels, built-in Lagrangians
-and expression-valued functions; everything referenced must resolve at parse
-time (unknown names are ConfigError).  Its ``ndim`` is an integer 1..3
-(default 1) and its ``size`` the grid size used when there is no sweep, an
-integer >= 4 like the sweep entries (default 64).
+and expression-valued functions.  Its ``interval`` is [a, b] (default
+[0, 1]), its ``ndim`` an integer 1..3 (default 1) and its ``size`` the grid
+size used when there is no sweep, an integer >= 4 like the sweep entries
+(default 64).
+
+load_config resolves the document once, and resolving is the validation:
+_SCHEMAS lists the keys each command reads and what each resolves to, and a
+bad value raises ConfigError naming the key in ``field``.  The runner gets
+the resolved Problem and adds only what depends on the grid.
 
 Tolerance keys refer to CSV columns: a bare column name bounds the last
 row's value, ``<column>_max`` bounds the maximum over rows,
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -36,26 +42,41 @@ from .errors import ConfigError, FracvarError
 from .exprs import parse_function
 from .model import (GridND, KernelSpec, ParamSet, constant_kernel,
                     make_uniform_grid, rl_kernel, tabulated_kernel)
+from .noether import SymmetryGenerator
+from .operators import OpKind
 from .variational import BUILTIN_LAGRANGIANS, Lagrangian
 
-COMMANDS = ("op-apply", "ibp-check", "el-residual", "dirichlet-solve",
-            "noether-check", "wave-residual", "convergence-sweep")
+# Parsed for every command when present, in this order; only "generator"
+# may use the state u.
+_EXPRESSIONS = ("f", "eta", "field", "boundary", "generator", "oracle")
+
+
+class Problem(SimpleNamespace):
+    """A problem block resolved for one command: ``ndim``, ``interval``,
+    ``size``, ``seed`` and one attribute per key of its schema."""
+
+    def grid(self, n: int) -> GridND:
+        return GridND(tuple(make_uniform_grid(*self.interval, n)
+                            for _ in range(self.ndim)))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    problem: dict
+    problem: Problem
     sweep: Optional[tuple[int, ...]]
     tolerances: dict[str, Any]
     seed: int
     output_path: str
 
 
-def _require(problem: dict, key: str, context: str) -> Any:
-    if key not in problem:
-        raise ConfigError(f"{context} requires {key!r}", field=key)
-    return problem[key]
+def _number(value: Any) -> bool:
+    """A JSON number; JSON true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -81,12 +102,12 @@ def load_config(path: str) -> ExperimentConfig:
     sweep = raw.get("sweep")
     if sweep is not None:
         if (not isinstance(sweep, list) or not sweep
-                or not all(isinstance(n, int) and n >= 4 for n in sweep)):
+                or not all(_integer(n) and n >= 4 for n in sweep)):
             raise ConfigError("'sweep' must be a list of integers >= 4",
                               field="sweep")
         sweep = tuple(sweep)
     size = problem.get("size", 64)
-    if not (isinstance(size, int) and size >= 4):
+    if not (_integer(size) and size >= 4):
         raise ConfigError("'size' must be an integer >= 4", field="size")
 
     tolerances = raw.get("tolerances", {})
@@ -95,14 +116,14 @@ def load_config(path: str) -> ExperimentConfig:
     for key, val in tolerances.items():
         if key == "order_est_range":
             if (not isinstance(val, list) or len(val) != 2
-                    or not all(isinstance(v, (int, float)) for v in val)):
+                    or not all(_number(v) for v in val)):
                 raise ConfigError("'order_est_range' must be [lo, hi]",
                                   field=key)
-        elif not isinstance(val, (int, float)):
+        elif not _number(val):
             raise ConfigError(f"tolerance {key!r} must be a number", field=key)
 
     seed = raw.get("seed", 42)
-    if not isinstance(seed, int):
+    if not _integer(seed):
         raise ConfigError("'seed' must be an integer", field="seed")
 
     output_path = raw.get("output_path")
@@ -110,52 +131,85 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("'output_path' must be a non-empty string",
                           field="output_path")
 
-    cfg = ExperimentConfig(command, problem, sweep, tolerances, seed,
-                           output_path)
-    validate_problem(cfg)
-    return cfg
+    return ExperimentConfig(command,
+                            _resolve_problem(command, problem, size, seed),
+                            sweep, tolerances, seed, output_path)
+
+
+def _resolve_problem(command: str, raw: dict, size: int, seed: int) -> Problem:
+    iv = raw.get("interval", [0.0, 1.0])
+    if (not isinstance(iv, list) or len(iv) != 2
+            or not all(_number(v) for v in iv) or not iv[0] < iv[1]):
+        raise ConfigError("'interval' must be [a, b] with a < b",
+                          field="interval")
+    ndim = raw.get("ndim", 1)
+    if not (_integer(ndim) and 1 <= ndim <= 3):
+        raise ConfigError("'ndim' must be 1, 2, or 3", field="ndim")
+    problem = Problem(ndim=ndim, interval=(float(iv[0]), float(iv[1])),
+                      size=size, seed=seed)
+    schema = _SCHEMAS[command]
+    # Other keys, then all expression keys; unread ones are parsed and dropped.
+    keys = [k for k in schema if k not in _EXPRESSIONS]
+    for key in keys + list(_EXPRESSIONS):
+        value = schema.get(key, _expression(False))(raw, key, problem)
+        if key in schema:
+            setattr(problem, key, value)
+    return problem
 
 
 # ---------------------------------------------------------------------------
-# Problem-block builders
+# Key resolvers: resolve(raw problem block, key, problem so far) -> value.
+# The list factories take count(raw, ndim), the list's length; without it,
+# one entry per axis.
 
 
-def build_interval(problem: dict) -> tuple[float, float]:
-    iv = problem.get("interval", [0.0, 1.0])
-    if (not isinstance(iv, list) or len(iv) != 2
-            or not all(isinstance(v, (int, float)) for v in iv)
-            or not iv[0] < iv[1]):
-        raise ConfigError("'interval' must be [a, b] with a < b",
-                          field="interval")
-    return float(iv[0]), float(iv[1])
+def _required(raw: dict, key: str) -> Any:
+    if key not in raw:
+        raise ConfigError(f"this command requires {key!r}", field=key)
+    return raw[key]
 
 
-def build_grid(problem: dict, n: int) -> GridND:
-    a, b = build_interval(problem)
-    ndim = problem.get("ndim", 1)
-    if (isinstance(ndim, bool) or not isinstance(ndim, int)
-            or not 1 <= ndim <= 3):
-        raise ConfigError("'ndim' must be 1, 2, or 3", field="ndim")
-    return GridND(tuple(make_uniform_grid(a, b, n) for _ in range(ndim)))
+def _one(raw: dict, ndim: int) -> int:
+    return 1
 
 
-def build_pset(entry: Any, interval: tuple[float, float]) -> ParamSet:
-    if (not isinstance(entry, list) or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)):
-        raise ConfigError("each p-set must be [p, q]", field="psets")
-    return ParamSet(interval[0], interval[1], float(entry[0]), float(entry[1]))
+def _wave_axes(raw: dict, ndim: int) -> int:
+    """The time axis, plus the space axes when space is fractional too."""
+    return ndim if "space_betas" in raw else 1
 
 
-def build_psets(problem: dict, key: str, ndim: int) -> list[ParamSet]:
-    interval = build_interval(problem)
-    entries = _require(problem, key, "this command")
-    if not isinstance(entries, list) or len(entries) != ndim:
-        raise ConfigError(f"{key!r} must list one [p, q] pair per axis "
-                          f"({ndim})", field=key)
-    return [build_pset(e, interval) for e in entries]
+def _psets(count: Optional[Callable] = None) -> Callable:
+    def resolve(raw: dict, key: str, problem: Problem) -> list[ParamSet]:
+        n = count(raw, problem.ndim) if count else problem.ndim
+        entries = _required(raw, key)
+        if not isinstance(entries, list) or len(entries) != n:
+            raise ConfigError(f"{key!r} must list one [p, q] pair per axis "
+                              f"({n})", field=key)
+        for e in entries:
+            if (not isinstance(e, list) or len(e) != 2
+                    or not all(_number(v) for v in e)):
+                raise ConfigError("each p-set must be [p, q]", field="psets")
+        return [ParamSet(*problem.interval, float(p), float(q))
+                for p, q in entries]
+    return resolve
 
 
-def build_kernel(entry: Any) -> KernelSpec:
+def _orders(count: Optional[Callable] = None, optional: bool = False
+            ) -> Callable:
+    def resolve(raw: dict, key: str, problem: Problem) -> Optional[list[float]]:
+        if optional and key not in raw:
+            return None
+        n = count(raw, problem.ndim) if count else problem.ndim
+        entries = _required(raw, key)
+        if (not isinstance(entries, list) or len(entries) != n
+                or not all(_number(v) for v in entries)):
+            raise ConfigError(f"{key!r} must list one order per axis ({n})",
+                              field=key)
+        return [float(v) for v in entries]
+    return resolve
+
+
+def _kernel(entry: Any) -> KernelSpec:
     if entry == "rl":
         return rl_kernel()
     if entry == "constant":
@@ -171,117 +225,125 @@ def build_kernel(entry: Any) -> KernelSpec:
         f"got {entry!r}", field="kernels")
 
 
-def build_kernels(problem: dict, key: str, ndim: int) -> list[KernelSpec]:
-    entries = problem.get(key, ["rl"] * ndim)
-    if not isinstance(entries, list) or len(entries) != ndim:
-        raise ConfigError(f"{key!r} must list one kernel per axis ({ndim})",
-                          field=key)
-    return [build_kernel(e) for e in entries]
+def _kernels(count: Optional[Callable] = None) -> Callable:
+    def resolve(raw: dict, key: str, problem: Problem) -> list[KernelSpec]:
+        n = count(raw, problem.ndim) if count else problem.ndim
+        entries = raw.get(key, ["rl"] * n)
+        if not isinstance(entries, list) or len(entries) != n:
+            raise ConfigError(f"{key!r} must list one kernel per axis ({n})",
+                              field=key)
+        return [_kernel(e) for e in entries]
+    return resolve
 
 
-def build_orders(problem: dict, key: str, ndim: int) -> list[float]:
-    entries = _require(problem, key, "this command")
-    if (not isinstance(entries, list) or len(entries) != ndim
-            or not all(isinstance(v, (int, float)) for v in entries)):
-        raise ConfigError(f"{key!r} must list one order per axis ({ndim})",
-                          field=key)
-    return [float(v) for v in entries]
+def _op(raw: dict, key: str, problem: Problem) -> OpKind:
+    kind = _required(raw, key)
+    if kind not in ("K", "A", "B"):
+        raise ConfigError(f"'op' must be K, A, or B, got {kind!r}", field="op")
+    return OpKind[kind]
 
 
-def build_lagrangian(problem: dict, ndim: int) -> Lagrangian:
-    name = _require(problem, "lagrangian", "this command")
+def _axis(raw: dict, key: str, problem: Problem) -> int:
+    axis = raw.get(key, 0)
+    if not _integer(axis) or not 0 <= axis < problem.ndim:
+        raise ConfigError(f"'axis' must lie in [0, {problem.ndim})",
+                          field="axis")
+    return axis
+
+
+def _identity(raw: dict, key: str, problem: Problem) -> str:
+    identity = raw.get(key, "full")
+    if identity not in ("full", "duality"):
+        raise ConfigError("'identity' must be 'full' or 'duality'",
+                          field="identity")
+    return identity
+
+
+def _flag(raw: dict, key: str, problem: Problem) -> bool:
+    return bool(raw.get(key, False))
+
+
+def _positive(default: float) -> Callable:
+    def resolve(raw: dict, key: str, problem: Problem) -> float:
+        val = raw.get(key, default)
+        if not _number(val) or val <= 0:
+            raise ConfigError(f"{key!r} must be a positive number", field=key)
+        return float(val)
+    return resolve
+
+
+def _time_and_space(raw: dict, key: str, problem: Problem) -> int:
+    if problem.ndim < 2:
+        raise ConfigError("wave-residual needs ndim >= 2 (time + space)",
+                          field="ndim")
+    return problem.ndim
+
+
+def _lagrangian(raw: dict, key: str, problem: Problem) -> Lagrangian:
+    name = _required(raw, key)
     factory = BUILTIN_LAGRANGIANS.get(name)
     if factory is None:
         raise ConfigError(
             f"unknown Lagrangian {name!r}; built-ins: "
             f"{', '.join(sorted(BUILTIN_LAGRANGIANS))}", field="lagrangian")
-    return factory(ndim)
+    return factory(problem.ndim)
 
 
-def build_expression(problem: dict, key: str, ndim: int,
-                     allow_u: bool = False, required: bool = True
-                     ) -> Optional[Callable]:
-    text = problem.get(key)
-    if text is None:
-        if required:
-            raise ConfigError(f"this command requires expression {key!r}",
-                              field=key)
-        return None
-    if not isinstance(text, str):
-        raise ConfigError(f"{key!r} must be an expression string", field=key)
-    return parse_function(text, ndim, allow_u=allow_u)
+def _expression(required: bool) -> Callable:
+    def resolve(raw: dict, key: str, problem: Problem) -> Optional[Callable]:
+        text = raw.get(key)
+        if text is None:
+            if required:
+                raise ConfigError(f"this command requires expression {key!r}",
+                                  field=key)
+            return None
+        if not isinstance(text, str):
+            raise ConfigError(f"{key!r} must be an expression string", field=key)
+        return parse_function(text, problem.ndim, allow_u=key == "generator")
+    return resolve
 
 
-_EXPR_KEYS = {
-    # key -> (allow_u, required-for commands)
-    "f": (False, ("ibp-check", "convergence-sweep")),
-    "eta": (False, ("ibp-check",)),
-    "field": (False, ("op-apply", "el-residual", "wave-residual")),
-    "boundary": (False, ("dirichlet-solve",)),
-    "generator": (True, ("noether-check",)),
-    "oracle": (False, ()),
+def _generator(raw: dict, key: str, problem: Problem) -> SymmetryGenerator:
+    xi = _expression(True)(raw, key, problem)
+    return SymmetryGenerator(
+        lambda t, u: np.asarray(xi(t, u[0]), dtype=float)[np.newaxis],
+        description=raw[key])
+
+
+# ---------------------------------------------------------------------------
+# One schema per command: the keys its runner reads, in resolution order.
+
+_OPERATOR = {"op": _op, "psets": _psets(), "orders": _orders(),
+             "kernels": _kernels(), "axis": _axis}
+_VARIATIONAL = {"psets1": _psets(), "psets2": _psets(), "alphas": _orders(),
+                "betas": _orders(), "kernels_alpha": _kernels(),
+                "kernels_beta": _kernels(), "lagrangian": _lagrangian}
+
+_SCHEMAS: dict[str, dict[str, Callable]] = {
+    "op-apply": {**_OPERATOR, "field": _expression(True),
+                 "oracle": _expression(False)},
+    "ibp-check": {"psets": _psets(_one), "orders": _orders(_one),
+                  "kernels": _kernels(_one), "identity": _identity,
+                  "axis": _axis, "f": _expression(True),
+                  "eta": _expression(True)},
+    "el-residual": {**_VARIATIONAL, "mixed": _flag,
+                    "field": _expression(True)},
+    "dirichlet-solve": {"psets": _psets(), "alphas": _orders(),
+                        "kernels": _kernels(), "tol": _positive(1e-10),
+                        "boundary": _expression(True)},
+    "noether-check": {**_VARIATIONAL, "u0": _expression(False),
+                      "generator": _generator},
+    "wave-residual": {"ndim": _time_and_space, "rho": _positive(1.0),
+                      "stiffness": _positive(1.0),
+                      "psets": _psets(_wave_axes), "alphas": _orders(_one),
+                      # Without space orders, a classical Laplacian.
+                      "space_betas": _orders(lambda raw, ndim: ndim - 1,
+                                             optional=True),
+                      "kernels": _kernels(_wave_axes),
+                      "field": _expression(True)},
+    # The runner, not load_config, requires the oracle.
+    "convergence-sweep": {**_OPERATOR, "f": _expression(True),
+                          "oracle": _expression(False)},
 }
 
-
-def validate_problem(cfg: ExperimentConfig) -> None:
-    """Resolve every reference in the problem block (grids, p-sets, kernels,
-    Lagrangian, expressions) without running anything."""
-    problem, command = cfg.problem, cfg.command
-    ndim = build_grid(problem, 8).ndim
-    if command in ("op-apply", "convergence-sweep"):
-        kind = _require(problem, "op", command)
-        if kind not in ("K", "A", "B"):
-            raise ConfigError(f"'op' must be K, A, or B, got {kind!r}",
-                              field="op")
-        build_psets(problem, "psets", ndim)
-        build_orders(problem, "orders", ndim)
-        build_kernels(problem, "kernels", ndim)
-        axis = problem.get("axis", 0)
-        if not isinstance(axis, int) or not 0 <= axis < ndim:
-            raise ConfigError(f"'axis' must lie in [0, {ndim})", field="axis")
-    elif command == "ibp-check":
-        build_psets(problem, "psets", 1)
-        build_orders(problem, "orders", 1)
-        build_kernels(problem, "kernels", 1)
-        identity = problem.get("identity", "full")
-        if identity not in ("full", "duality"):
-            raise ConfigError("'identity' must be 'full' or 'duality'",
-                              field="identity")
-        axis = problem.get("axis", 0)
-        if not isinstance(axis, int) or not 0 <= axis < ndim:
-            raise ConfigError(f"'axis' must lie in [0, {ndim})", field="axis")
-    elif command in ("el-residual", "noether-check"):
-        build_psets(problem, "psets1", ndim)
-        build_psets(problem, "psets2", ndim)
-        build_orders(problem, "alphas", ndim)
-        build_orders(problem, "betas", ndim)
-        build_kernels(problem, "kernels_alpha", ndim)
-        build_kernels(problem, "kernels_beta", ndim)
-        build_lagrangian(problem, ndim)
-        if command == "noether-check":
-            build_expression(problem, "u0", ndim, required=False)
-    elif command == "dirichlet-solve":
-        build_psets(problem, "psets", ndim)
-        build_orders(problem, "alphas", ndim)
-        build_kernels(problem, "kernels", ndim)
-        tol = problem.get("tol", 1e-10)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError("'tol' must be a positive number", field="tol")
-    elif command == "wave-residual":
-        if ndim < 2:
-            raise ConfigError("wave-residual needs ndim >= 2 (time + space)",
-                              field="ndim")
-        for key in ("rho", "stiffness"):
-            val = problem.get(key, 1.0)
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ConfigError(f"{key!r} must be a positive number",
-                                  field=key)
-        build_psets(problem, "psets", ndim if "space_betas" in problem else 1)
-        build_orders(problem, "alphas", 1)
-        if "space_betas" in problem:
-            build_orders(problem, "space_betas", ndim - 1)
-        build_kernels(problem, "kernels",
-                      ndim if "space_betas" in problem else 1)
-    for key, (allow_u, needed_by) in _EXPR_KEYS.items():
-        build_expression(problem, key, ndim, allow_u=allow_u,
-                         required=command in needed_by)
+COMMANDS = tuple(_SCHEMAS)

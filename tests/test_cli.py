@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracvar import cli
-from fracvar.config import build_expression
+from fracvar import cli, config, variational
+from fracvar.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
@@ -80,6 +80,44 @@ def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.run(str(tmp_path / "absent.json")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["output_dir_is_file", "csv_is_dir"])
+def test_output_error_exits_1(tmp_path, capsys, blocked):
+    payload = load_payload("op_apply_halfint.json")
+    cfg = write_payload(tmp_path, payload)
+    if blocked == "output_dir_is_file":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "file" / "sub"
+    else:
+        out_dir = tmp_path / "out"
+        outputs(out_dir, payload)[0].mkdir(parents=True)
+    assert cli.run(cfg, output_dir=str(out_dir)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob(".fracvar-*"))
+
+
+def test_config_resolved_once(tmp_path, monkeypatch):
+    payload = load_payload("noether_translation.json")
+    payload["problem"]["u0"] = "sin(pi*t1)"
+    payload["sweep"] = [16, 24, 32]
+    checked, parsed = [], []
+    gradient_check, parse = variational._gradient_check, config.parse_function
+
+    def counting_gradient_check(lag):
+        checked.append(lag.name)
+        return gradient_check(lag)
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(variational, "_gradient_check", counting_gradient_check)
+    monkeypatch.setattr(config, "parse_function", counting_parse)
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path), jobs=2) == 0
+    assert checked == ["dirichlet_energy"]
+    assert sorted(parsed) == ["1", "sin(pi*t1)"]
 
 
 def test_csv_is_deterministic(tmp_path):
@@ -235,16 +273,16 @@ def test_op_apply_3d_csv_matches_node_loop(tmp_path, sweep):
     }
     if sweep is not None:
         payload["sweep"] = sweep
-    assert cli.run(write_payload(tmp_path, payload),
-                   output_dir=str(tmp_path)) == 0
+    cfg = write_payload(tmp_path, payload)
+    assert cli.run(cfg, output_dir=str(tmp_path)) == 0
 
     # The per-node loop the table replaced: C order, last axis fastest.
-    problem = payload["problem"]
-    oracle_fn = build_expression(problem, "oracle", 3)
+    problem = load_config(cfg).problem
     rows = []
     for n in sweep or [4]:
-        grid, out = cli._apply_configured_op(problem, n, "field")
-        oracle = np.broadcast_to(np.asarray(oracle_fn(grid.coords()),
+        grid = problem.grid(n)
+        out = cli._apply_configured_op(problem, grid, problem.field)
+        oracle = np.broadcast_to(np.asarray(problem.oracle(grid.coords()),
                                             dtype=float), grid.shape)
         mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
         for idx in np.ndindex(grid.shape):

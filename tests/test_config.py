@@ -145,22 +145,25 @@ class TestRootSchema:
         with pytest.raises(ConfigError, match="sweep"):
             load_config(write(tmp_path, payload))
 
-    def test_bad_tolerance_value(self, tmp_path):
+    @pytest.mark.parametrize("value", ["tight", True, False])
+    def test_bad_tolerance_value(self, tmp_path, value):
         payload = base_op_apply()
-        payload["tolerances"] = {"abs_error": "tight"}
+        payload["tolerances"] = {"abs_error": value}
         with pytest.raises(ConfigError, match="abs_error"):
             load_config(write(tmp_path, payload))
 
-    @pytest.mark.parametrize("rng", [1.0, [1.0], [1.0, "hi"], [1, 2, 3]])
+    @pytest.mark.parametrize("rng", [1.0, [1.0], [1.0, "hi"], [1, 2, 3],
+                                     [True, 2.0], [1.0, False]])
     def test_bad_order_est_range(self, tmp_path, rng):
         payload = base_op_apply()
         payload["tolerances"] = {"order_est_range": rng}
         with pytest.raises(ConfigError, match="order_est_range"):
             load_config(write(tmp_path, payload))
 
-    def test_bad_seed(self, tmp_path):
+    @pytest.mark.parametrize("seed", ["7", True, False])
+    def test_bad_seed(self, tmp_path, seed):
         payload = base_op_apply()
-        payload["seed"] = "7"
+        payload["seed"] = seed
         with pytest.raises(ConfigError, match="seed"):
             load_config(write(tmp_path, payload))
 
@@ -176,9 +179,11 @@ class TestRootSchema:
 
 
 class TestProblemBlocks:
-    def test_bad_interval(self, tmp_path):
+    @pytest.mark.parametrize("interval", [[1.0, 0.0], [False, True],
+                                          [0.0, True]])
+    def test_bad_interval(self, tmp_path, interval):
         payload = base_op_apply()
-        payload["problem"]["interval"] = [1.0, 0.0]
+        payload["problem"]["interval"] = interval
         with pytest.raises(ConfigError, match="interval"):
             load_config(write(tmp_path, payload))
 
@@ -204,20 +209,25 @@ class TestProblemBlocks:
             load_config(write(tmp_path, payload))
 
     @pytest.mark.parametrize("psets", [[[1.0]], [[1.0, 0.0], [1.0, 0.0]],
-                                       "all", [["p", "q"]]])
+                                       "all", [["p", "q"]], [[True, 0.0]],
+                                       [[1.0, False]]])
     def test_bad_psets(self, tmp_path, psets):
         payload = base_op_apply()
         payload["problem"]["psets"] = psets
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, payload))
 
-    def test_missing_orders(self, tmp_path):
+    @pytest.mark.parametrize("orders", [None, [True], [False]])
+    def test_missing_orders(self, tmp_path, orders):
         payload = base_op_apply()
-        del payload["problem"]["orders"]
+        if orders is None:
+            del payload["problem"]["orders"]
+        else:
+            payload["problem"]["orders"] = orders
         with pytest.raises(ConfigError, match="orders"):
             load_config(write(tmp_path, payload))
 
-    @pytest.mark.parametrize("axis", [-1, 1, "0"])
+    @pytest.mark.parametrize("axis", [-1, 1, "0", True, False])
     def test_bad_axis(self, tmp_path, axis):
         payload = base_op_apply()
         payload["problem"]["axis"] = axis
@@ -323,7 +333,7 @@ class TestPerCommand:
         cfg = load_config(write(tmp_path, base_dirichlet()))
         assert cfg.command == "dirichlet-solve"
 
-    @pytest.mark.parametrize("tol", [0, -1e-8, "small"])
+    @pytest.mark.parametrize("tol", [0, -1e-8, "small", True, False])
     def test_dirichlet_bad_tol(self, tmp_path, tol):
         payload = base_dirichlet()
         payload["problem"]["tol"] = tol
@@ -346,10 +356,11 @@ class TestPerCommand:
         with pytest.raises(ConfigError, match="ndim"):
             load_config(write(tmp_path, payload))
 
+    @pytest.mark.parametrize("value", [0.0, True, False])
     @pytest.mark.parametrize("key", ["rho", "stiffness"])
-    def test_wave_positive_coefficients(self, tmp_path, key):
+    def test_wave_positive_coefficients(self, tmp_path, key, value):
         payload = base_wave()
-        payload["problem"][key] = 0.0
+        payload["problem"][key] = value
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, payload))
 
