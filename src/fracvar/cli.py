@@ -132,9 +132,6 @@ def _run_wave_residual(p: Problem, grid: GridND) -> tuple[list[str], list[list]]
 
 
 def _run_convergence_sweep(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
-    if p.oracle is None:
-        raise ConfigError("this command requires expression 'oracle'",
-                          field="oracle")
     out = _apply_configured_op(p, grid, p.f)
     oracle = _expr_field(grid, p.oracle)
     err = interior_max_abs(Field(grid, out.values - oracle.values))

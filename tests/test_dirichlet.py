@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
-                     energy, grid_1d, interior_max_abs, make_uniform_grid,
-                     minimize_energy, rl_kernel, transfinite_init,
-                     uniqueness_check)
+                     constant_kernel, energy, grid_1d, interior_max_abs,
+                     make_uniform_grid, minimize_energy, rl_kernel,
+                     tabulated_kernel, transfinite_init, uniqueness_check)
 from fracvar.errors import (BoundaryViolation, DegenerateEnergy, GridMismatch,
                             NoConvergence)
+from fracvar.operators import apply_matrix_along_axis
 
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
@@ -26,6 +27,32 @@ def spec_2d(n, psi_fn, alpha=0.5, **kw):
     psi = Field.from_function(grid, psi_fn)
     return DirichletSpec(grid, [SYM, SYM], [alpha, alpha],
                          [rl_kernel(), rl_kernel()], psi, **kw)
+
+
+def interior_system(spec):
+    """The interior Hessian and right-hand side of the discrete energy,
+    assembled column by column from the full-grid gradient
+    2 sum_i M_i^T omega M_i u."""
+    grid = spec.grid
+    omega = grid.trapezoid_weight_tensor()
+    interior = grid.interior_mask()
+    mats = [np.asarray(bp.matrix) for bp in spec.b_plans()]
+
+    def grad(u):
+        g = np.zeros(grid.shape)
+        for i, M in enumerate(mats):
+            mu = apply_matrix_along_axis(M, u[np.newaxis], i)[0]
+            g += apply_matrix_along_axis(M.T, (omega * mu)[np.newaxis], i)[0]
+        return 2.0 * g
+
+    m = int(interior.sum())
+    A = np.zeros((m, m))
+    for j in range(m):
+        buf = np.zeros(grid.shape)
+        buf[interior] = np.eye(m)[j]
+        A[:, j] = grad(buf)[interior]
+    u_bnd = np.where(interior, 0.0, spec.boundary.values[0])
+    return A, -grad(u_bnd)[interior]
 
 
 class TestSpecValidation:
@@ -129,22 +156,7 @@ class TestMinimization:
     def test_interior_operator_positive_definite(self):
         # Assemble the quadratic form on the interior unknowns explicitly and
         # check its spectrum; positive definiteness is what CG relies on.
-        from fracvar.operators import apply_matrix_along_axis
-        spec = spec_2d(6, lambda t1, t2: 0.0 * t1)
-        grid = spec.grid
-        omega = grid.trapezoid_weight_tensor()
-        interior = grid.interior_mask()
-        mats = [np.asarray(bp.matrix) for bp in spec.b_plans()]
-        m = int(interior.sum())
-        A = np.zeros((m, m))
-        for j in range(m):
-            buf = np.zeros(grid.shape)
-            buf[interior] = np.eye(m)[j]
-            g = np.zeros(grid.shape)
-            for i, M in enumerate(mats):
-                mu = apply_matrix_along_axis(M, buf[np.newaxis], i)[0]
-                g += apply_matrix_along_axis(M.T, (omega * mu)[np.newaxis], i)[0]
-            A[:, j] = (2.0 * g)[interior]
+        A, _ = interior_system(spec_2d(6, lambda t1, t2: 0.0 * t1))
         eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert np.all(eigs > 0.0)
 
@@ -155,12 +167,89 @@ class TestMinimization:
         assert result.iterations == 0
 
     def test_no_convergence_carries_best(self):
-        spec = spec_1d(64, lambda t: t, tol=1e-14, max_iter=1)
+        # One preconditioned step reaches the rounding floor (about 1e-14
+        # here), so only a tol below it forces the cap.
+        spec = spec_1d(64, lambda t: t, tol=1e-30, max_iter=1)
         with pytest.raises(NoConvergence) as exc:
             minimize_energy(spec)
         assert exc.value.best is not None
         assert exc.value.iterations == 1
         assert np.isfinite(exc.value.gradient_norm)
+
+
+_S = np.linspace(0.01, 2.0, 200)
+TAB = tabulated_kernel(np.column_stack([_S, np.exp(-_S)]))
+
+# Per axis: (a, b, n, p, q, alpha, kernel).  Different n and intervals per
+# axis give different scale factors c_i = 2 prod_{l != i} h_l.
+ANISOTROPIC = {
+    "2d-two-sided-rl": [(0.0, 1.0, 10, 0.6, 0.4, 0.5, rl_kernel()),
+                        (-0.5, 1.5, 14, 0.3, 0.7, 0.7, rl_kernel())],
+    "2d-one-axis-zero": [(0.0, 1.0, 12, 0.5, 0.5, 0.5, rl_kernel()),
+                         (0.0, 2.0, 9, 0.0, 0.0, 0.5, rl_kernel())],
+    "3d-one-sided": [(0.0, 1.0, 6, 1.0, 0.0, 0.4, rl_kernel()),
+                     (0.0, 2.0, 8, 0.0, 1.0, 0.6, constant_kernel()),
+                     (-1.0, 0.5, 5, 1.0, 0.0, 0.5, TAB)],
+    "3d-two-sided": [(0.0, 1.0, 7, 0.7, 0.3, 0.5, TAB),
+                     (0.0, 1.5, 5, 0.4, 0.6, 0.3, constant_kernel()),
+                     (0.5, 1.0, 6, 0.5, 0.5, 0.8, rl_kernel())],
+}
+
+
+def anisotropic_spec(axes, tol=1e-12):
+    grid = GridND(tuple(make_uniform_grid(a, b, n) for a, b, n, *_ in axes))
+    psi = Field.from_function(
+        grid, lambda *t: sum(np.sin(1.0 + (i + 1) * x) for i, x in enumerate(t))
+        + np.prod(t, axis=0))
+    return DirichletSpec(grid, [ParamSet(a, b, p, q) for a, b, _, p, q, *_ in axes],
+                         [ax[5] for ax in axes], [ax[6] for ax in axes], psi,
+                         tol=tol)
+
+
+def assert_matches_dense_solve(spec, result):
+    A, b = interior_system(spec)
+    expected = np.linalg.solve(A, b)
+    got = result.field.values[0][spec.grid.interior_mask()]
+    np.testing.assert_allclose(got, expected, rtol=0.0,
+                               atol=1e-11 * np.max(np.abs(expected)))
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("name", sorted(ANISOTROPIC))
+    def test_matches_dense_interior_solve(self, name):
+        spec = anisotropic_spec(ANISOTROPIC[name])
+        result = minimize_energy(spec)
+        assert result.iterations <= 2
+        assert result.gradient_norm <= spec.tol
+        assert_matches_dense_solve(spec, result)
+
+    def test_nonpositive_denominator_falls_back_to_plain_cg(self, monkeypatch):
+        # Negated eigenvalues stand in for a degenerate axis operator: every
+        # denominator sum_i c_i lambda_i is then negative.
+        eigh = np.linalg.eigh
+
+        def negated(t):
+            lam, vecs = eigh(t)
+            return -lam, vecs
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        spec = anisotropic_spec(ANISOTROPIC["2d-one-axis-zero"])
+        result = minimize_energy(spec)
+        # Axis 1 has p = q = 0, so the Hessian c_0 (T_0 x I) has n_0 - 1
+        # distinct eigenvalues, and plain CG ends within that many steps.
+        assert 2 < result.iterations <= spec.grid.axes[0].n - 1
+        assert result.gradient_norm <= spec.tol
+        assert_matches_dense_solve(spec, result)
+
+    @pytest.mark.parametrize("ndim, n", [(1, 64), (1, 256), (1, 1024),
+                                         (2, 32), (3, 12)])
+    def test_iterations_flat_in_n(self, ndim, n):
+        axes = [(0.0, 1.0, n, p, 1.0 - p, alpha, rl_kernel())
+                for p, alpha in [(0.6, 0.5), (0.3, 0.6), (0.5, 0.4)][:ndim]]
+        spec = anisotropic_spec(axes, tol=1e-10)
+        result = minimize_energy(spec)
+        assert result.iterations <= 2
+        assert result.gradient_norm <= spec.tol
+        assert interior_max_abs(bvp_residual(spec, result.field)) <= spec.tol
 
 
 class TestUniqueness:
