@@ -15,18 +15,17 @@ import argparse
 import math
 
 import numpy as np
-from scipy.special import gamma
 
 from fracvar import (Field, OpKind, ParamSet, apply_op_nd, grid_1d,
                      interior_max_abs, make_plan, rl_kernel)
 
 
 def exact_K(t: np.ndarray) -> np.ndarray:
-    return 2.0 * t ** 2.5 / gamma(3.5)
+    return 2.0 * t ** 2.5 / math.gamma(3.5)
 
 
 def exact_deriv(t: np.ndarray) -> np.ndarray:
-    return 2.0 * t ** 1.5 / gamma(2.5)
+    return 2.0 * t ** 1.5 / math.gamma(2.5)
 
 
 CASES = [(OpKind.K, exact_K), (OpKind.B, exact_deriv), (OpKind.A, exact_deriv)]

@@ -6,12 +6,14 @@ interior unknowns of the *discrete* energy
 
     E(u) = sum_i  (M_i u)^T diag(omega) (M_i u),
 
-with M_i the assembled B-operator matrix along axis i and omega the
-tensor-product trapezoid weights.  The discrete gradient is the exact
-transpose expression 2 sum_i M_i^T omega M_i u — no approximation — so the
-discrete Dirichlet principle holds exactly: at the minimizer the residual
-sum_i A_{P_i*}(B_{P_i} u), realized through the same transposes, vanishes
-on interior nodes to solver tolerance.
+with M_i the B-operator weights along axis i and omega the tensor-product
+trapezoid weights.  The discrete gradient is the exact transpose expression
+2 sum_i M_i^T omega M_i u — no approximation — applied through the same
+forward and transpose paths as ``apply_op_nd`` and ``adjoint_apply``
+(``operators.toeplitz_along_axis``), so the discrete Dirichlet principle
+holds exactly: at the minimizer the residual sum_i A_{P_i*}(B_{P_i} u),
+realized through the same transposes, vanishes on interior nodes to solver
+tolerance.
 
 On the uniform grid the interior Hessian of E is a Kronecker sum of one
 (n_i - 1)^2 matrix per axis, so fast diagonalization (one eigendecomposition
@@ -39,8 +41,8 @@ from .errors import (DegenerateEnergy, FracvarError, GridMismatch,
                      NoConvergence)
 from .ibp import volume_integral
 from .model import Field, GridND, KernelSpec, ParamSet, same_grid
-from .operators import OpKind, adjoint_apply, apply_matrix_along_axis, \
-    apply_op_nd, axis_plans
+from .operators import OpKind, adjoint_apply, apply_op_nd, axis_plans, \
+    toeplitz_along_axis
 from .variational import check_admissible
 
 
@@ -200,7 +202,7 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
         return MinimizeResult(init, 0, 0.0)
 
     grid = spec.grid
-    mats = [np.asarray(bp.matrix) for bp in spec.b_plans()]
+    plans = spec.b_plans()
     omega = grid.trapezoid_weight_tensor()
     interior = grid.interior_mask()
     om_int = omega[interior]
@@ -208,9 +210,10 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
     def grad_full(u_full: np.ndarray) -> np.ndarray:
         """Raw gradient of E on the full grid: 2 sum_i M_i^T omega M_i u."""
         g = np.zeros(grid.shape)
-        for i, M in enumerate(mats):
-            mu = apply_matrix_along_axis(M, u_full[np.newaxis], i)[0]
-            g += apply_matrix_along_axis(M.T, (omega * mu)[np.newaxis], i)[0]
+        for bp in plans:
+            mu = toeplitz_along_axis(bp, u_full[np.newaxis])[0]
+            g += toeplitz_along_axis(bp, (omega * mu)[np.newaxis],
+                                     transpose=True)[0]
         return 2.0 * g
 
     u_full = init.values[0].copy()
@@ -225,7 +228,7 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
 
     b = -grad_full(u_bnd)[interior]
 
-    precondition = _fast_diagonalization(grid, mats)
+    precondition = _fast_diagonalization(grid, [bp.matrix for bp in plans])
     max_iter = spec.max_iter if spec.max_iter is not None else 10 * x.size
 
     r = b - A_apply(x)

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import DomainError, GridMismatch, RangeError
 
-#: Hard cap on cells per axis; weight matrices are dense (n+1)^2.
+#: Hard cap on cells per axis.  Plans are O(n), but the power-kernel cell
+#: moments lose precision to cancellation as n grows (relative error about
+#: 2e-8 at n = 4096 for kernel order 0.1).
 MAX_CELLS_PER_AXIS = 4096
 
 

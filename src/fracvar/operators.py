@@ -16,9 +16,19 @@ cell slopes of f (the classical L1 construction, accuracy O(h^(2-alpha))
 for power kernels).  A composes a second-order finite-difference derivative
 with the K^(1-alpha) samples.
 
-A plan holds one matrix p*L + q*R, L lower-Toeplitz in the cell-moment
-symbol with a first-column correction and R its index flip; A's derivative
-is a 3-point stencil, never a dense matrix.
+A plan's weights are p*L + q*R: L is lower-Toeplitz in the cell-moment
+symbol with a first-column correction, and R is L flipped on both axes
+(negated for B).  The plan stores only the O(n) symbol and correction
+column.  Its weights are one Toeplitz product with the two boundary columns
+apart: with the line's end values set aside, p*T +/- q*J T J (T the full
+lower-Toeplitz matrix of the symbol, J the index flip) is a Toeplitz matrix,
+applied by rfft/irfft on a circulant of power-of-two length >= 2n-1 whose
+spectrum the plan caches; the two end values then enter through the
+boundary columns of p*L + q*R, an O(n) correction.  The dense (n+1)^2
+matrix is built on first use only: by batches of at least n+1 lines, where
+it is no larger than the data and a BLAS product beats the FFT, and by the
+Dirichlet preconditioner.  A's derivative is a 3-point stencil, never a
+dense matrix.
 
 Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.
@@ -27,6 +37,7 @@ other coordinate frozen, line by line.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,39 +133,34 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
     return m0, u, v
 
 
-def _weight_matrix(kind: OpKind, pset: ParamSet, kernel: KernelSpec,
-                   grid: Grid1D) -> np.ndarray:
-    """p*L + q*R of the K quadrature (K, A) or the L1 construction (B).  L
-    is lower-Toeplitz in i - j with column 0 replaced by the first-cell
-    correction and row 0 zero; R flips L (negated for B, whose rows then sum
-    to zero, so B annihilates constants exactly)."""
+def _symbol(kind: OpKind, kernel: KernelSpec, grid: Grid1D
+            ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(symbol, column0, sign) of the K quadrature (K, A) or the L1
+    construction (B).  L[i, j] = symbol[i - j] for i >= j >= 1,
+    L[i, 0] = column0[i - 1] for i >= 1 (the first-cell correction) and row 0
+    is zero; R = sign * J L J flips L (negated for B, whose rows then sum to
+    zero, so B annihilates constants exactly)."""
     h = grid.h
     m0, u, v = _cell_moments(kernel, grid)
     if kind is OpKind.B:
         symbol = np.concatenate([m0[:1], np.diff(m0, append=0.0)]) / h
-        column0, sign = -m0 / h, -1.0
-    else:
-        # An interior node at distance d >= 1 weighs u(d) + v(d+1).
-        symbol = np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]])
-        column0, sign = u, 1.0
-    m = symbol.size
-    window = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([np.zeros(m - 1), symbol]), m)
-    L = window[:, ::-1].copy()                  # L[i, j] = symbol[i - j]
-    L[1:, 0] = column0
-    L[0] = 0.0
-    R = L[::-1, ::-1] * (sign * pset.q)
-    L *= pset.p
-    L += R
-    return L
+        return symbol, -m0 / h, -1.0
+    # An interior node at distance d >= 1 weighs u(d) + v(d+1).
+    return np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0
 
 
 @dataclass(frozen=True)
 class FracOpPlan:
     """A compiled partial operator: kind, order, p-set, kernel, axis, grid
-    and one read-only quadrature matrix.  For K and B, ``matrix`` is the
-    operator's p*L + q*R; for A it is the inner K^(1-alpha) matrix, and the
-    derivative is applied as a stencil after it."""
+    and the O(n) quadrature data of its weights p*L + q*R (see ``_symbol``):
+    the Toeplitz ``symbol``, the first-cell correction ``column0`` and the
+    ``sign`` of R.  For K and B the weights are the operator; for A they are
+    the inner K^(1-alpha) weights, and the derivative is applied as a
+    stencil after them.
+
+    ``matrix`` is the dense (n+1)^2 weight matrix, built on first read and
+    then cached; applies read it only for batches of at least n+1 lines.
+    Shorter batches use the circulant spectrum, also cached on first use."""
 
     kind: OpKind
     order: float
@@ -162,12 +168,49 @@ class FracOpPlan:
     kernel: KernelSpec
     axis: int
     grid: Grid1D
-    matrix: np.ndarray
+    symbol: np.ndarray
+    column0: np.ndarray
+    sign: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        for name in ("symbol", "column0"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only dense p*L + q*R."""
+        m = self.symbol.size
+        window = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([np.zeros(m - 1), self.symbol]), m)
+        L = window[:, ::-1].copy()                  # L[i, j] = symbol[i - j]
+        L[1:, 0] = self.column0
+        L[0] = 0.0
+        R = L[::-1, ::-1] * (self.sign * self.pset.q)
+        L *= self.pset.p
+        L += R
+        L.setflags(write=False)
+        return L
+
+    @functools.cached_property
+    def _circulant(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(size, spectrum, first, last): the rfft of a circulant that embeds
+        p*T + q*sign*J T J, and columns 0 and n of p*L + q*R, which the
+        Toeplitz part leaves out.  Columns 0 and n aside, and rows 0 and n
+        in the transpose, every used entry has |i - j| <= n - 1, so the
+        power-of-two size >= 2n - 1 wraps none of them onto another."""
+        c, col0 = self.symbol, self.column0
+        n = c.size - 1
+        p, sq = self.pset.p, self.sign * self.pset.q
+        size = 1 << (2 * n - 2).bit_length()
+        col = np.zeros(size)
+        col[:n] = p * c[:n]                         # i - j = d, d = 0 .. n-1
+        col[size - n + 1:] = sq * c[n - 1:0:-1]     # i - j = -d, d = n-1 .. 1
+        col[0] += sq * c[0]
+        first = np.concatenate([[sq * c[0]], p * col0])
+        last = np.concatenate([sq * col0[::-1], [p * c[0]]])
+        return size, np.fft.rfft(col), first, last
 
 
 def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
@@ -200,7 +243,7 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
         raise AxisError(f"axis must be nonnegative, got {axis}")
 
     return FracOpPlan(kind, order, pset, kernel, axis, grid,
-                      _weight_matrix(kind, pset, kernel, grid))
+                      *_symbol(kind, kernel, grid))
 
 
 def axis_plans(kind: OpKind, orders, psets, kernels, grid: GridND
@@ -215,6 +258,39 @@ def apply_matrix_along_axis(M: np.ndarray, values: np.ndarray, axis: int) -> np.
     """Apply M to every line of values (component axis 0 excluded) along axis."""
     out = np.tensordot(M, values, axes=([1], [axis + 1]))
     return np.moveaxis(out, 0, axis + 1)
+
+
+def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
+                        transpose: bool = False) -> np.ndarray:
+    """The plan's weights p*L + q*R, or their transpose, on every line of
+    values (component axis 0 excluded) along plan.axis.
+
+    A batch of at least n+1 lines is multiplied by the dense plan.matrix,
+    which is then no larger than the data.  Fewer lines go through the
+    cached circulant spectrum: forward, the end values are zeroed, the
+    Toeplitz product taken and the end values added back through the
+    boundary columns; transposed, the product uses the conjugate spectrum
+    and the boundary columns give entries 0 and n."""
+    n = plan.grid.n
+    if values.size >= (n + 1) ** 2:
+        M = plan.matrix
+        return apply_matrix_along_axis(M.T if transpose else M, values,
+                                       plan.axis)
+    size, spectrum, first, last = plan._circulant
+    f = np.moveaxis(values, plan.axis + 1, -1)
+    if transpose:
+        out = np.fft.irfft(np.fft.rfft(f, size) * spectrum.conj(),
+                           size)[..., :n + 1]
+        out[..., 0] = f @ first
+        out[..., -1] = f @ last
+    else:
+        g = f.copy()
+        g[..., 0] = 0.0
+        g[..., -1] = 0.0
+        out = np.fft.irfft(np.fft.rfft(g, size) * spectrum, size)[..., :n + 1]
+        out += np.multiply.outer(f[..., 0], first)
+        out += np.multiply.outer(f[..., -1], last)
+    return np.moveaxis(out, -1, plan.axis + 1)
 
 
 def _check_plan_grid(plan: FracOpPlan, f: Field) -> None:
@@ -235,14 +311,15 @@ def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
 
     B subtracts the line's first value before the weighted sum: the operator
     annihilates constants analytically, and centering makes that exact in
-    floating point.  A applies plan.matrix (the inner K^(1-alpha) weights)
-    first and the derivative stencil second, so its samples coincide bitwise
-    with the stencil derivative of the K^(1-alpha) samples."""
+    floating point.  A applies the plan's weights (the inner K^(1-alpha)
+    weights) first and the derivative stencil second, through the same
+    ``toeplitz_along_axis`` as K, so its samples coincide bitwise with the
+    stencil derivative of the K^(1-alpha) samples."""
     _check_plan_grid(plan, f)
     vals = f.values
     if plan.kind is OpKind.B:
         vals = vals - np.take(vals, [0], axis=plan.axis + 1)
-    out = apply_matrix_along_axis(plan.matrix, vals, plan.axis)
+    out = toeplitz_along_axis(plan, vals)
     if plan.kind is OpKind.A:
         out = derivative_along_axis(out, plan.grid, plan.axis)
     flagged = (plan.kind is OpKind.A
@@ -273,10 +350,10 @@ def frac_gradient(f: Field, kind: OpKind, psets, orders, kernels) -> list[Field]
 
 def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     """Apply the exact transpose of the plan's operator in the trapezoid
-    inner product along plan.axis: g -> (+/-) w^-1 M^T (w g), with M =
-    plan.matrix for K and B.  For A, M is the derivative stencil after
-    plan.matrix, so the stencil's transpose is applied first and
-    plan.matrix.T second.
+    inner product along plan.axis: g -> (+/-) w^-1 M^T (w g), with M the
+    plan's weights p*L + q*R for K and B.  For A, M is the derivative stencil
+    after the weights, so the stencil's transpose is applied first and the
+    weights' transpose (``toeplitz_along_axis`` with transpose=True) second.
 
     With a B-plan and negate=True this realizes A_{P*}^alpha:  the discrete
     counterpart of  int f . B_P eta = -int eta . A_{P*} f  (+ boundary), with
@@ -291,7 +368,7 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     g = f.values * wb
     if plan.kind is OpKind.A:
         g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
-    out = apply_matrix_along_axis(plan.matrix.T, g, plan.axis) / wb
+    out = toeplitz_along_axis(plan, g, transpose=True) / wb
     if negate:
         out = -out
     return Field(f.grid, out, flagged_boundary=f.flagged_boundary)

@@ -1,6 +1,7 @@
 """Discrete K/A/B operators: closed-form accuracy, structure, adjoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fracvar.errors import (AxisError, DomainError, GridMismatch,
                             LengthMismatch, OrderError, RangeError)
 from fracvar.ibp import volume_integral
 from fracvar import operators
+from fracvar.model import MAX_CELLS_PER_AXIS
 from fracvar.operators import _cell_moments, derivative_along_axis
 
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
@@ -321,6 +323,22 @@ def _reference_parts(kind, kernel, grid):
     return L, L[::-1, ::-1].copy()
 
 
+def _family_kernel(family, kind, order, n):
+    """An RL, constant or tabulated RL kernel for a plan of the given kind
+    and order on n cells."""
+    if family == "rl":
+        return rl_kernel()
+    if family == "constant":
+        return constant_kernel()
+    eff = order if kind is OpKind.K else 1.0 - order
+    s = np.linspace(1e-4, 1.0, 4 * n + 1)
+    return tabulated_kernel(
+        np.column_stack([s, s ** (eff - 1.0) / math.gamma(eff)]))
+
+
+PSETS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4), (-1.3, 0.7)]
+
+
 def _reference_d_matrix(grid):
     """Reference dense derivative matrix of the 3-point stencil."""
     n, h = grid.n, grid.h
@@ -335,44 +353,52 @@ def _reference_d_matrix(grid):
 
 class TestRepresentation:
     @pytest.mark.parametrize("n", [8, 33, 128])
-    @pytest.mark.parametrize("pq", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4),
-                                    (-1.3, 0.7)])
+    @pytest.mark.parametrize("pq", PSETS)
     @pytest.mark.parametrize("family", ["rl", "constant", "tabulated"])
     @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
     def test_matrix_matches_dense_assembly_bitwise(self, kind, family, pq, n):
         g = make_uniform_grid(0.0, 1.0, n)
-        order = 0.6
-        eff = order if kind is OpKind.K else 1.0 - order
-        if family == "rl":
-            kernel = rl_kernel()
-        elif family == "constant":
-            kernel = constant_kernel()
-        else:
-            s = np.linspace(1e-4, 1.0, 4 * n + 1)
-            kernel = tabulated_kernel(
-                np.column_stack([s, s ** (eff - 1.0) / math.gamma(eff)]))
-        plan = make_plan(kind, order, ParamSet(0.0, 1.0, *pq), kernel, g)
+        plan = make_plan(kind, 0.6, ParamSet(0.0, 1.0, *pq),
+                         _family_kernel(family, kind, 0.6, n), g)
         left, right = _reference_parts(kind, plan.kernel, g)
         assert np.array_equal(plan.matrix, pq[0] * left + pq[1] * right)
 
     def test_plan_holds_one_array(self):
-        g = make_uniform_grid(0.0, 1.0, 8)
+        # Until .matrix is read a plan holds only O(n) arrays: the symbol,
+        # the correction column and, after an FFT apply, the circulant data.
+        n = 8
+        grid = grid_1d(0.0, 1.0, n)
+        f = Field(grid, np.sin(grid.axes[0].nodes))
         for kind in OpKind:
             plan = make_plan(kind, 0.5, ParamSet(0.0, 1.0, 0.6, 0.4),
-                             rl_kernel(), g)
-            arrays = [k for k, v in vars(plan).items()
-                      if isinstance(v, np.ndarray)]
-            assert arrays == ["matrix"]
+                             rl_kernel(), grid.axes[0])
+            apply_op_nd(plan, f)
+            adjoint_apply(plan, f, negate=False)
+            arrays = [a for v in vars(plan).values()
+                      for a in (v if isinstance(v, tuple) else (v,))
+                      if isinstance(a, np.ndarray)]
+            assert "matrix" not in vars(plan)
+            assert {"symbol", "column0"} <= set(vars(plan))
+            assert all(a.size <= 2 * (n + 1) for a in arrays)
+            assert plan.matrix.shape == (n + 1, n + 1)
+            assert plan.matrix is vars(plan)["matrix"]
 
     def test_A_apply_is_one_matvec(self, monkeypatch):
-        calls = []
+        # One Toeplitz product per A apply and per A adjoint; the derivative
+        # is a stencil, and one line takes the FFT, not the dense matrix.
+        calls, dense = [], []
+        product = operators.toeplitz_along_axis
         matvec = operators.apply_matrix_along_axis
+        monkeypatch.setattr(operators, "toeplitz_along_axis",
+                            lambda *a, **k: calls.append(1) or product(*a, **k))
         monkeypatch.setattr(operators, "apply_matrix_along_axis",
-                            lambda *a: calls.append(1) or matvec(*a))
+                            lambda *a: dense.append(1) or matvec(*a))
         grid = grid_1d(0.0, 1.0, 16)
         plan = make_plan(OpKind.A, 0.5, LEFT, rl_kernel(), grid.axes[0])
         apply_op_nd(plan, Field.constant(grid, 1.0))
         assert len(calls) == 1
+        adjoint_apply(plan, Field.constant(grid, 1.0), negate=False)
+        assert len(calls) == 2 and not dense
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_stencil_matches_dense_derivative(self, transpose):
@@ -390,6 +416,70 @@ class TestRepresentation:
             assert got.shape == vals.shape
             scale = np.max(np.abs(expect))
             assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+
+class TestMatrixFree:
+    """The FFT path of toeplitz_along_axis against the dense plan.matrix."""
+
+    @pytest.mark.parametrize("n", [8, 33, 128, 512])
+    @pytest.mark.parametrize("pq", PSETS)
+    @pytest.mark.parametrize("family", ["rl", "constant", "tabulated"])
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_fft_matches_dense_matvec(self, kind, family, pq, n):
+        g = make_uniform_grid(0.0, 1.0, n)
+        plan = make_plan(kind, 0.6, ParamSet(0.0, 1.0, *pq),
+                         _family_kernel(family, kind, 0.6, n), g)
+        x = np.random.default_rng(n).standard_normal((2, n + 1))
+        fwd = operators.toeplitz_along_axis(plan, x)
+        adj = operators.toeplitz_along_axis(plan, x, transpose=True)
+        assert "matrix" not in vars(plan)          # two lines: the FFT path
+        M = plan.matrix
+        for got, dense in ((fwd, x @ M.T), (adj, x @ M)):
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_batched_dense_matches_line_fft(self, kind):
+        # 31 lines of 25 nodes take the dense matrix; each line alone takes
+        # the FFT.  Forward and adjoint agree line by line to rounding.
+        n = 24
+        grid = GridND((make_uniform_grid(0.0, 1.0, 30),
+                       make_uniform_grid(0.0, 1.0, n)))
+        f = Field(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        pset = ParamSet(0.0, 1.0, 0.7, -0.3)
+        plan = make_plan(kind, 0.4, pset, rl_kernel(), grid.axes[1], axis=1)
+        batched = (apply_op_nd(plan, f).values[0],
+                   adjoint_apply(plan, f, negate=False).values[0])
+        assert "matrix" in vars(plan)
+        line_grid = grid_1d(0.0, 1.0, n)
+        line_plan = make_plan(kind, 0.4, pset, rl_kernel(), line_grid.axes[0])
+        for i in range(grid.shape[0]):
+            line = Field(line_grid, f.values[0, i])
+            lines = (apply_op_nd(line_plan, line).values[0],
+                     adjoint_apply(line_plan, line, negate=False).values[0])
+            for got, want in zip(lines, batched):
+                scale = np.max(np.abs(want[i]))
+                assert np.max(np.abs(got - want[i])) <= 1e-13 * scale
+        assert "matrix" not in vars(line_plan)
+
+    def test_no_quadratic_memory(self):
+        # At the grid cap one dense plan would be (n+1)^2 doubles, 134 MB.
+        n = MAX_CELLS_PER_AXIS
+        grid = grid_1d(0.0, 1.0, n)
+        t = grid.axes[0].nodes
+        f = Field(grid, np.stack([np.sin(t), t]))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for kind in OpKind:
+                plan = make_plan(kind, 0.5, ParamSet(0.0, 1.0, 0.6, 0.4),
+                                 rl_kernel(), grid.axes[0])
+                apply_op_1d(plan, f)
+                adjoint_apply(plan, f, negate=False)
+                assert "matrix" not in vars(plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 @settings(max_examples=60, deadline=None)
