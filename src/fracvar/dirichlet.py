@@ -20,7 +20,8 @@ On the uniform grid the interior Hessian of E is a Kronecker sum of one
 per axis; one LU solve in 1D) inverts it exactly.  CG keeps it as its
 preconditioner and so converges in one or two iterations; CG still
 iterates on the exact-transpose gradient above, so the stopping rule and the
-discrete principle are unchanged.
+discrete principle are unchanged.  CG updates one full-grid iterate on its
+interior nodes, so a solve of k iterations evaluates the gradient 1 + k times.
 
 The solver reports the gradient in the trapezoid inner product (the Riesz
 representative of dE, which equals 2x the BVP residual on interior nodes);
@@ -29,7 +30,6 @@ the stopping rule is its max norm falling below ``tol``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,7 +106,11 @@ def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
 
 def transfinite_init(grid: GridND, psi: Field) -> Field:
     """Multilinear (transfinite) interpolation of the boundary data into the
-    interior: the Boolean sum of the per-axis endpoint blends."""
+    interior: the Boolean sum of the per-axis endpoint blends P_i, in product
+    form I - prod_i (I - P_i) (Gordon & Hall, Int. J. Numer. Meth. Eng. 7,
+    1973): one blend per axis.  The node coordinates are exactly 0 and 1 at
+    the ends of each axis, so I - P_i vanishes exactly on the faces of axis
+    i and boundary nodes keep psi bitwise."""
     vals = psi.values[0]
     d = grid.ndim
     xi = []
@@ -121,16 +125,10 @@ def transfinite_init(grid: GridND, psi: Field) -> Field:
         hi = np.take(arr, [-1], axis=i)
         return (1.0 - xi[i]) * lo + xi[i] * hi
 
-    acc = np.zeros(grid.shape)
-    for r in range(1, d + 1):
-        for subset in itertools.combinations(range(d), r):
-            term = vals
-            for i in subset:
-                term = blend(term, i)
-            acc += ((-1.0) ** (r + 1)) * np.broadcast_to(term, grid.shape)
-    mask = ~grid.interior_mask()
-    acc[mask] = vals[mask]
-    return Field(grid, acc[np.newaxis])
+    rest = vals
+    for i in range(d):
+        rest = rest - blend(rest, i)
+    return Field(grid, (vals - rest)[np.newaxis])
 
 
 def _fast_diagonalization(grid: GridND, mats: list[np.ndarray]
@@ -184,7 +182,8 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
     unknowns, preconditioned by fast diagonalization: the interior Hessian
     is a Kronecker sum of one matrix per axis, and its exact inverse (one
     eigendecomposition per axis; one LU solve on a 1D grid) makes CG
-    converge in one or two iterations.
+    converge in one or two iterations.  The iterate is one copy of the init,
+    updated on interior nodes; the first residual is minus its gradient there.
 
     Returns (field, iterations, final gradient norm); raises
     NoConvergence (carrying the best iterate) past ``max_iter``.  If every
@@ -216,33 +215,20 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
                                      transpose=True)[0]
         return 2.0 * g
 
-    u_full = init.values[0].copy()
-    x = u_full[interior].copy()
-    u_bnd = u_full.copy()
-    u_bnd[interior] = 0.0
-
-    def A_apply(x_int: np.ndarray) -> np.ndarray:
-        buf = np.zeros(grid.shape)
-        buf[interior] = x_int
-        return grad_full(buf)[interior]
-
-    b = -grad_full(u_bnd)[interior]
-
+    u = init.values[0].copy()
     precondition = _fast_diagonalization(grid, [bp.matrix for bp in plans])
-    max_iter = spec.max_iter if spec.max_iter is not None else 10 * x.size
+    max_iter = spec.max_iter if spec.max_iter is not None else 10 * om_int.size
 
-    r = b - A_apply(x)
+    r = -grad_full(u)[interior]
     grad_norm = float(np.max(np.abs(r / om_int)))
     it = 0
     while grad_norm > spec.tol:
         if it >= max_iter:
-            u_full = u_bnd.copy()
-            u_full[interior] = x
-            best = Field(grid, u_full[np.newaxis])
             raise NoConvergence(
                 f"conjugate gradients hit the iteration cap {max_iter} "
                 f"(gradient norm {grad_norm:.3e} > tol {spec.tol:.3e})",
-                best=best, iterations=it, gradient_norm=grad_norm)
+                best=Field(grid, u[np.newaxis]), iterations=it,
+                gradient_norm=grad_norm)
         # The preconditioned residual is formed only when another step is
         # taken: on a long 1D line each application is an O(n^3) solve.
         z = precondition(r)
@@ -250,7 +236,9 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
         # Copy: the identity fallback returns r itself, updated below.
         p = z.copy() if it == 0 else z + (rz_new / rz) * p
         rz = rz_new
-        Ap = A_apply(p)
+        buf = np.zeros(grid.shape)
+        buf[interior] = p
+        Ap = grad_full(buf)[interior]   # the interior Hessian times p
         pAp = float(p @ Ap)
         # With pAp > 0 and exact line search the energy decreases by
         # alpha * rz / 2 >= 0 each step; this is the per-iteration
@@ -261,14 +249,12 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
                 "the discrete energy is not positive definite along a CG "
                 "direction; the quadratic form degenerated")
         alpha = rz / pAp
-        x += alpha * p
+        u[interior] += alpha * p
         r -= alpha * Ap
         it += 1
         grad_norm = float(np.max(np.abs(r / om_int)))
 
-    u_full = u_bnd.copy()
-    u_full[interior] = x
-    return MinimizeResult(Field(grid, u_full[np.newaxis]), it, grad_norm)
+    return MinimizeResult(Field(grid, u[np.newaxis]), it, grad_norm)
 
 
 def uniqueness_check(spec: DirichletSpec, init1: Field, init2: Field) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisError, DomainError
-from .model import (Field, GridND, KernelFamily, KernelSpec, ParamSet, dual,
-                    same_grid)
+from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec,
+                    ParamSet, dual, same_grid)
 from .operators import OpKind, apply_op_nd, make_plan
 
 
@@ -81,19 +81,19 @@ def boundary_integral(g: Field, axis: int) -> float:
     return float(np.sum(w * hi) - np.sum(w * lo))
 
 
-def _common_checks(f: Field, eta: Field) -> None:
+def _common_checks(f: Field, eta: Field, axis: int) -> Grid1D:
     same_grid(f.grid, eta.grid)
     if f.ncomp != 1 or eta.ncomp != 1:
         raise DomainError("identity checks take single-component fields")
+    if not (0 <= axis < f.grid.ndim):
+        raise AxisError(f"axis {axis} out of range for a {f.grid.ndim}D grid")
+    return f.grid.axes[axis]
 
 
 def check_K_duality(f: Field, eta: Field, pset: ParamSet, order: float,
                     kernel: KernelSpec, axis: int) -> IbpReport:
     """Check  int f . K_P eta = int eta . K_{P*} f  along one axis."""
-    _common_checks(f, eta)
-    grid = f.grid.axes[axis] if axis < f.grid.ndim else None
-    if grid is None:
-        raise AxisError(f"axis {axis} out of range for a {f.grid.ndim}D grid")
+    grid = _common_checks(f, eta, axis)
     plan = make_plan(OpKind.K, order, pset, kernel, grid, axis)
     plan_dual = make_plan(OpKind.K, order, dual(pset), kernel, grid, axis)
     lhs = volume_integral(Field(f.grid, f.data * apply_op_nd(plan, eta).data))
@@ -107,10 +107,7 @@ def check_ibp(f: Field, eta: Field, pset: ParamSet, order: float,
     """Check the full identity
     int f . B_P eta = int_boundary eta . K_{P*}^(1-alpha) f . nu - int eta . A_{P*} f
     along one axis; the boundary term is reported separately."""
-    _common_checks(f, eta)
-    if not (0 <= axis < f.grid.ndim):
-        raise AxisError(f"axis {axis} out of range for a {f.grid.ndim}D grid")
-    grid = f.grid.axes[axis]
+    grid = _common_checks(f, eta, axis)
     b_plan = make_plan(OpKind.B, order, pset, kernel, grid, axis)
     k_dual = make_plan(OpKind.K, 1.0 - order, dual(pset), kernel, grid, axis)
     a_dual = make_plan(OpKind.A, order, dual(pset), kernel, grid, axis)

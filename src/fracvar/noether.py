@@ -131,16 +131,12 @@ def noether_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> Fie
     dv = lag.d_v(t, uu, v, w)
     dw = lag.d_w(t, uu, v, w)
     res = np.zeros(spec.grid.shape)
-    for k in range(lag.N):
-        xi_k = Field(spec.grid, xi.values[k][np.newaxis])
-        for i in range(spec.grid.ndim):
-            bd = bracket_D(xi_k, Field(spec.grid, dv[k, i][np.newaxis]),
-                           spec.psets1[i], spec.alphas[i],
-                           spec.kernels_alpha[i], i)
-            bi = bracket_I(xi_k, Field(spec.grid, dw[k, i][np.newaxis]),
-                           spec.psets2[i], spec.betas[i],
-                           spec.kernels_beta[i], i)
-            res += bd.data + bi.data
+    for i in range(spec.grid.ndim):
+        bd = bracket_D(xi, Field(spec.grid, dv[:, i]), spec.psets1[i],
+                       spec.alphas[i], spec.kernels_alpha[i], i)
+        bi = bracket_I(xi, Field(spec.grid, dw[:, i]), spec.psets2[i],
+                       spec.betas[i], spec.kernels_beta[i], i)
+        res += np.sum(bd.values + bi.values, axis=0)
     return Field(spec.grid, res[np.newaxis], flagged_boundary=True)
 
 

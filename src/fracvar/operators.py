@@ -149,7 +149,7 @@ def _symbol(kind: OpKind, kernel: KernelSpec, grid: Grid1D
     return np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FracOpPlan:
     """A compiled partial operator: kind, order, p-set, kernel, axis, grid
     and the O(n) quadrature data of its weights p*L + q*R (see ``_symbol``):

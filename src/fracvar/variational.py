@@ -40,6 +40,7 @@ _CHECK_RNG_SEED = 1729
 _CHECK_POINTS = 7
 _FD_STEP = 1e-5
 _GRAD_RTOL = 1e-6
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class ProblemSpec:
                           self.kernels_beta, self.grid)
 
 
-def check_admissible(spec, u: Field, tol: float = 1e-12) -> None:
+def check_admissible(spec, u: Field) -> None:
     """Raise unless u lives on spec.grid with spec.ncomp components and its
     boundary trace equals spec.boundary (when the spec has one).  Serves
     ProblemSpec and DirichletSpec alike."""
@@ -176,9 +177,9 @@ def check_admissible(spec, u: Field, tol: float = 1e-12) -> None:
         return
     mask = ~spec.grid.interior_mask()
     diff = np.max(np.abs(u.values[:, mask] - spec.boundary.values[:, mask]))
-    if diff > tol:
-        raise BoundaryViolation(
-            f"boundary trace differs from psi by {diff:.3e} (> {tol})")
+    if diff > _BOUNDARY_TOL:
+        raise BoundaryViolation(f"boundary trace differs from psi by "
+                                f"{diff:.3e} (> {_BOUNDARY_TOL})")
 
 
 def _blocks(spec: ProblemSpec, u: Field):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fracvar.dirichlet
 from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      constant_kernel, energy, grid_1d, interior_max_abs,
                      make_uniform_grid, minimize_energy, rl_kernel,
@@ -83,18 +84,26 @@ class TestTransfiniteInit:
         init = transfinite_init(grid, psi)
         np.testing.assert_allclose(init.values[0], -1.0 + 3.0 * t, atol=1e-14)
 
-    def test_2d_reproduces_bilinear(self):
-        grid = GridND((make_uniform_grid(0.0, 1.0, 6),
-                       make_uniform_grid(0.0, 1.0, 6)))
-        psi = Field.from_function(grid,
-                                  lambda t1, t2: 1.0 + t1 - 2.0 * t2 + 3.0 * t1 * t2)
+    @pytest.mark.parametrize("ndim, fn", [
+        (2, lambda t1, t2: 1.0 + t1 - 2.0 * t2 + 3.0 * t1 * t2),
+        (3, lambda t1, t2, t3: (1.0 + t1 - 2.0 * t2 + 3.0 * t1 * t2 + 0.5 * t3
+                                - t1 * t3 + 2.0 * t2 * t3
+                                - 1.5 * t1 * t2 * t3)),
+    ], ids=["bilinear-2d", "trilinear-3d"])
+    def test_reproduces_multilinear(self, ndim, fn):
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0 + i, 6 - i)
+                            for i in range(ndim)))
+        psi = Field.from_function(grid, fn)
         init = transfinite_init(grid, psi)
         np.testing.assert_allclose(init.values, psi.values, atol=1e-13)
 
-    def test_boundary_nodes_exact(self):
-        grid = GridND((make_uniform_grid(0.0, 1.0, 5),
-                       make_uniform_grid(0.0, 1.0, 7)))
-        psi = Field.from_function(grid, lambda t1, t2: np.sin(t1 + 2.0 * t2))
+    @pytest.mark.parametrize("axes", [
+        [(0.0, 1.0, 5), (0.0, 1.0, 7)],
+        [(-0.3, 0.7, 5), (0.1, 2.9, 7), (1.0, 1.3, 3)]], ids=["2d", "3d"])
+    def test_boundary_nodes_exact(self, axes):
+        grid = GridND(tuple(make_uniform_grid(*ax) for ax in axes))
+        psi = Field.from_function(
+            grid, lambda *t: np.sin(sum((i + 1) * x for i, x in enumerate(t))))
         init = transfinite_init(grid, psi)
         mask = ~grid.interior_mask()
         np.testing.assert_array_equal(init.values[0][mask], psi.values[0][mask])
@@ -239,6 +248,23 @@ class TestFastDiagonalization:
         assert 2 < result.iterations <= spec.grid.axes[0].n - 1
         assert result.gradient_norm <= spec.tol
         assert_matches_dense_solve(spec, result)
+
+    @pytest.mark.parametrize("name", ["2d-two-sided-rl", "3d-two-sided"])
+    def test_one_gradient_per_iteration(self, name, monkeypatch):
+        # grad_full applies each axis plan forward and transposed: 2 ndim
+        # calls per full-grid gradient, one gradient for the initial
+        # residual and one per CG step.
+        calls = []
+        wrapped = fracvar.dirichlet.toeplitz_along_axis
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(fracvar.dirichlet, "toeplitz_along_axis", counting)
+        spec = anisotropic_spec(ANISOTROPIC[name])
+        result = minimize_energy(spec)
+        assert result.iterations >= 1
+        assert len(calls) == 2 * spec.grid.ndim * (1 + result.iterations)
 
     @pytest.mark.parametrize("ndim, n", [(1, 64), (1, 256), (1, 1024),
                                          (2, 32), (3, 12)])

@@ -40,10 +40,11 @@ class TestIntegrals:
         g = Field.constant(grid_1d(0.0, 1.0, 8), 1.0)
         with pytest.raises(AxisError):
             boundary_integral(g, 1)
-        with pytest.raises(AxisError):
-            check_K_duality(g, g, PSET, 0.5, rl_kernel(), 1)
-        with pytest.raises(AxisError):
-            check_ibp(g, g, PSET, 0.5, rl_kernel(), 1)
+        for axis in (1, -1):
+            with pytest.raises(AxisError):
+                check_K_duality(g, g, PSET, 0.5, rl_kernel(), axis)
+            with pytest.raises(AxisError):
+                check_ibp(g, g, PSET, 0.5, rl_kernel(), axis)
 
 
 class TestKDuality:

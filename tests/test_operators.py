@@ -92,6 +92,14 @@ class TestPlanConstruction:
         with pytest.raises(ValueError):
             plan.matrix[0, 0] = 1.0
 
+    def test_plan_identity_equality_and_hash(self):
+        # Equality is identity: comparing the ndarray fields would raise.
+        g = make_uniform_grid(0.0, 1.0, 8)
+        plan = make_plan(OpKind.K, 0.5, LEFT, rl_kernel(), g)
+        assert plan == plan
+        assert plan != make_plan(OpKind.K, 0.5, LEFT, rl_kernel(), g)
+        assert {plan, plan} == {plan}
+
     def test_dual_plan_is_involution(self):
         g = make_uniform_grid(0.0, 1.0, 8)
         plan = make_plan(OpKind.K, 0.5, ParamSet(0.0, 1.0, 0.3, 0.7),
