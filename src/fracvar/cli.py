@@ -6,7 +6,9 @@ Each config runs one command (see config.COMMANDS), usually over a sweep of
 grid sizes.  load_config resolves the config once; the command's runner gets
 that Problem and one grid per size.  The result is one float table: a CSV
 (``%.17g`` cells, LF line endings) and a ``<output>.summary.json`` with
-pass/fail per declared tolerance.  Exit codes: 0 all tolerances pass, 2 a
+pass/fail per declared tolerance.  The CSV is streamed to disk in chunks of
+rows, and a column that repeats its values (grid coordinates always do) has
+each distinct value formatted once.  Exit codes: 0 all tolerances pass, 2 a
 tolerance failed, 1 configuration, runtime or output error.  Output goes to
 --output-dir, else $FRACVAR_OUTPUT_DIR, else the config file's directory.
 """
@@ -20,7 +22,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -210,15 +212,17 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
             if err_col is None:
                 raise ConfigError(
                     "decrease_factor_min needs an error column", field=key)
-            vals = table[:, err_col].tolist()
-            worst = math.inf
-            for a, b in zip(vals, vals[1:]):
-                worst = min(worst, math.inf if b == 0.0 else a / b)
+            errs = table[:, err_col]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                factors = np.where(errs[1:] == 0.0, math.inf,
+                                   errs[:-1] / errs[1:])
+            # np.min propagates NaN, so a NaN error fails the bound.
+            worst = factors.min(initial=math.inf).item()
             report[key] = {"bound": bound, "value": worst,
                            "pass": bool(worst >= bound)}
             continue
         if key.endswith("_max") and key[:-4] in header:
-            value = max(table[:, header.index(key[:-4])].tolist())
+            value = np.max(table[:, header.index(key[:-4])]).item()
         elif key in header:
             value = table[-1, header.index(key)].item()
         else:
@@ -229,8 +233,10 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
     return report
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write via a renamed temporary file, with mode 0o666 & ~umask."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks via a renamed temporary file, with mode
+    0o666 & ~umask; on any error the temporary file is removed and path is
+    left as it was."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracvar-")
     try:
@@ -238,7 +244,7 @@ def _atomic_write(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -246,13 +252,50 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# Rows formatted per string-formatting call, which bounds the writer's memory.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _distinct_cells(column: np.ndarray
+                    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(strings, inverse) with strings[inverse] the ``%.17g`` cells of a
+    float64 column, when it has at most half as many distinct bit patterns
+    (0.0 and -0.0 stay apart) as rows; else None, for inline formatting."""
+    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if 2 * len(distinct) > len(column):
+        return None
+    values = distinct.view(np.float64).tolist()
+    strings = np.array(["%.17g" % v for v in values], dtype=object)
+    # The narrowest index type keeps the writer's resident memory low.
+    return strings, inverse.astype(np.min_scalar_type(len(distinct)))
+
+
+def _csv_chunks(header: list[str], table: np.ndarray) -> Iterator[str]:
+    """The header line, then the body in chunks of _CSV_CHUNK_ROWS lines."""
+    yield ",".join(header) + "\n"
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    distinct = [_distinct_cells(table[:, j]) for j in range(cols)]
+    row_format = ",".join("%.17g" if d is None else "%s"
+                          for d in distinct) + "\n"
+    for start in range(0, rows, _CSV_CHUNK_ROWS):
+        stop = min(start + _CSV_CHUNK_ROWS, rows)
+        chunk = np.empty((stop - start, cols), dtype=object)
+        for j, d in enumerate(distinct):
+            if d is None:
+                chunk[:, j] = table[start:stop, j]
+            else:
+                strings, inverse = d
+                chunk[:, j] = strings[inverse[start:stop]]
+        yield (row_format * (stop - start)) % tuple(chunk.ravel().tolist())
+
+
 def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per table row with every cell ``%.17g``
-    (integers below 2**53 print without a decimal point); LF line endings."""
-    rows, cols = table.shape
-    row_format = ",".join(["%.17g"] * cols) + "\n"
-    body = (row_format * rows) % tuple(table.ravel().tolist())
-    _atomic_write(path, ",".join(header) + "\n" + body)
+    (integers below 2**53 print without a decimal point); LF line endings.
+    The body is streamed in chunks of rows, and a column that repeats its
+    values formats each distinct value once."""
+    _atomic_write(path, _csv_chunks(header, table))
 
 
 def resolve_output_dir(config_path: str, override: Optional[str]) -> str:
@@ -289,7 +332,7 @@ def run(config_path: str, output_dir: Optional[str] = None,
         os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
         write_csv(csv_path, header, table)
         _atomic_write(os.path.splitext(csv_path)[0] + ".summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                      [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,35 @@ def test_tolerance_failure_exits_2(tmp_path, capsys):
     assert set(entry) == {"bound", "value", "pass"}
     assert entry["pass"] is False
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nan_row", [1, 2])
+def test_nan_in_max_column_fails(nan_row):
+    table = np.array([[0.0, 0.0, 1e-14], [0.5, 1.0, 2e-14],
+                      [1.0, 2.0, 3e-14]])
+    table[nan_row, 2] = math.nan
+    entry = cli.evaluate_tolerances({"abs_error_max": 1e-10},
+                                    ["t1", "value", "abs_error"],
+                                    table)["abs_error_max"]
+    assert math.isnan(entry["value"]) and entry["pass"] is False
+
+
+@pytest.mark.parametrize("nan_row", [1, 2])
+def test_nan_in_decrease_factor_sweep_fails(nan_row):
+    table = np.array([[16, 1e-2], [32, 1e-3], [64, 1e-4]])
+    table[nan_row, 1] = math.nan
+    entry = cli.evaluate_tolerances({"decrease_factor_min": 2.0},
+                                    ["n", "max_interior_error"],
+                                    table)["decrease_factor_min"]
+    assert math.isnan(entry["value"]) and entry["pass"] is False
+
+
+def test_decrease_factor_zero_error_is_infinite():
+    table = np.array([[16, 1e-2], [32, 1e-3], [64, 0.0], [128, 0.0]])
+    entry = cli.evaluate_tolerances({"decrease_factor_min": 2.0},
+                                    ["n", "max_interior_error"],
+                                    table)["decrease_factor_min"]
+    assert entry == {"bound": 2.0, "value": 10.0, "pass": True}
 
 
 def test_config_error_exits_1(tmp_path, capsys):
@@ -322,3 +352,98 @@ def test_op_apply_3d_csv_matches_node_loop(tmp_path, sweep):
                         abs(out.values[0][idx] - oracle[idx])])
     header = ["t1", "t2", "t3", "value", "abs_error"]
     assert (tmp_path / "op3d.csv").read_bytes() == reference_csv(header, rows)
+
+
+# Bit patterns that print alike but must not be merged, plus the extremes.
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64)
+                    .view(np.float64)[0])
+SPECIALS = [0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, math.inf, -math.inf,
+            5e-324, -5e-324, 2.0**53 - 1, -(2.0**53 - 1), 1.0, 1 / 3]
+CHUNK = cli._CSV_CHUNK_ROWS
+
+
+def special_table(rows):
+    """Columns: the specials repeated (formatted per distinct value), the
+    specials among distinct values (formatted inline), an integer count and
+    a slowly varying integer column."""
+    rng = np.random.default_rng(rows)
+    repeated = np.resize(np.array(SPECIALS), rows)
+    mixed = rng.standard_normal(rows)
+    mixed[::7] = np.resize(np.array(SPECIALS), len(mixed[::7]))
+    count = np.arange(rows, dtype=float) + (2.0**53 - 1 - rows)
+    slow = np.arange(rows, dtype=float) // 3
+    return np.column_stack([repeated, mixed, count, slow])
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  3 * CHUNK + 7])
+def test_write_csv_special_values_match_reference(tmp_path, rows):
+    table = special_table(rows)
+    if rows > 2 * len(SPECIALS):
+        # All of 0.0/-0.0 and the three NaNs stay distinct bit patterns.
+        assert len(np.unique(table[:, 0].view(np.uint64))) == len(SPECIALS)
+        assert cli._distinct_cells(table[:, 0]) is not None
+    assert cli._distinct_cells(table[:, 1]) is None
+    header = ["repeated", "mixed", "count", "slow"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
+def test_write_csv_half_distinct_threshold(tmp_path):
+    rows = 1000
+    at_half = np.resize(np.arange(rows // 2) * 0.1, rows)
+    above_half = np.resize(np.arange(rows // 2 + 1) * 0.1, rows)
+    below_half = np.resize(np.arange(rows // 2 - 1) * 0.1, rows)
+    assert cli._distinct_cells(at_half) is not None
+    assert cli._distinct_cells(below_half) is not None
+    assert cli._distinct_cells(above_half) is None
+    table = np.column_stack([below_half, at_half, above_half])
+    header = ["below", "at", "above"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # A 49^3-node op-apply table: three coordinate columns and two values.
+    # Formatting the whole body in one string peaks at about 31 MB.
+    nodes = np.linspace(0.0, 1.125, 49)
+    mesh = [m.ravel() for m in np.meshgrid(nodes, nodes, nodes, indexing="ij")]
+    value = np.sin(mesh[0] + 2.0 * mesh[1]) * np.exp(mesh[2])
+    table = np.column_stack(mesh + [value, np.abs(value - 0.5)])
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(tmp_path / "t.csv"), ["t1", "t2", "t3", "value",
+                                                "abs_error"], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    with open(tmp_path / "t.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == len(table) + 1
+
+
+def test_failed_stream_leaves_existing_csv(tmp_path, monkeypatch, capsys):
+    payload = load_payload("op_apply_halfint.json")
+    cfg = write_payload(tmp_path, payload)
+    csv_path, summary_path = outputs(tmp_path, payload)
+    csv_path.parent.mkdir(parents=True)
+    csv_path.write_bytes(b"old,contents\n")
+    chunks = cli._csv_chunks
+
+    def failing_chunks(header, table):
+        stream = chunks(header, table)
+        yield next(stream)
+        yield next(stream)
+        # The header and one body chunk are in the temporary file by now.
+        assert list(csv_path.parent.glob(".fracvar-*"))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 8)
+    monkeypatch.setattr(cli, "_csv_chunks", failing_chunks)
+    assert cli.run(cfg, output_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert csv_path.read_bytes() == b"old,contents\n"
+    assert not summary_path.exists()
+    assert not list(tmp_path.rglob(".fracvar-*"))
