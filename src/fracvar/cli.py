@@ -298,6 +298,19 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     _atomic_write(path, _csv_chunks(header, table))
 
 
+def _finite_json(obj):
+    """obj with every NaN or infinite float written as the string "NaN",
+    "Infinity" or "-Infinity": strict JSON (RFC 8259) has no such numbers."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0
+                                              else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _finite_json(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(val) for val in obj]
+    return obj
+
+
 def resolve_output_dir(config_path: str, override: Optional[str]) -> str:
     if override:
         return override
@@ -332,7 +345,8 @@ def run(config_path: str, output_dir: Optional[str] = None,
         os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
         write_csv(csv_path, header, table)
         _atomic_write(os.path.splitext(csv_path)[0] + ".summary.json",
-                      [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+                      [json.dumps(_finite_json(summary), indent=2,
+                                  sort_keys=True, allow_nan=False) + "\n"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,21 +7,26 @@ interior unknowns of the *discrete* energy
     E(u) = sum_i  (M_i u)^T diag(omega) (M_i u),
 
 with M_i the B-operator weights along axis i and omega the tensor-product
-trapezoid weights.  The discrete gradient is the exact transpose expression
-2 sum_i M_i^T omega M_i u — no approximation — applied through the same
-forward and transpose paths as ``apply_op_nd`` and ``adjoint_apply``
-(``operators.toeplitz_along_axis``), so the discrete Dirichlet principle
-holds exactly: at the minimizer the residual sum_i A_{P_i*}(B_{P_i} u),
-realized through the same transposes, vanishes on interior nodes to solver
-tolerance.
+trapezoid weights.  The weights of the other axes commute with M_i, so the
+gradient 2 sum_i M_i^T omega M_i u is, on every interior node, the Gram
+form
 
-On the uniform grid the interior Hessian of E is a Kronecker sum of one
-(n_i - 1)^2 matrix per axis, so fast diagonalization (one eigendecomposition
-per axis; one LU solve in 1D) inverts it exactly.  CG keeps it as its
+    sum_i c_i (G_i[1:-1, :] along axis i) u,   G_i = M_i^T diag(w_i) M_i,
+
+with c_i = 2 prod_{l != i} h_l (every interior weight of axis l is h_l):
+exact algebra, no approximation, so the discrete Dirichlet principle
+holds: at the minimizer the residual sum_i A_{P_i*}(B_{P_i} u), realized
+through the exact transposes of ``adjoint_apply``, vanishes on interior
+nodes to solver tolerance.
+
+The interior Hessian is the Kronecker sum sum_i c_i (T_i along axis i) with
+T_i = G_i[1:-1, 1:-1], so fast diagonalization (one eigendecomposition per
+axis; one LU solve in 1D) inverts it exactly.  CG keeps it as its
 preconditioner and so converges in one or two iterations; CG still
-iterates on the exact-transpose gradient above, so the stopping rule and the
-discrete principle are unchanged.  CG updates one full-grid iterate on its
-interior nodes, so a solve of k iterations evaluates the gradient 1 + k times.
+iterates on the computed gradient above, so the stopping rule and the
+discrete principle are unchanged.  CG runs on the interior array, one
+Gram product per axis per step, and updates the grid iterate through its
+interior slice.
 
 The solver reports the gradient in the trapezoid inner product (the Riesz
 representative of dE, which equals 2x the BVP residual on interior nodes);
@@ -41,8 +46,8 @@ from .errors import (DegenerateEnergy, FracvarError, GridMismatch,
                      NoConvergence)
 from .ibp import volume_integral
 from .model import Field, GridND, KernelSpec, ParamSet, same_grid
-from .operators import OpKind, adjoint_apply, apply_op_nd, axis_plans, \
-    toeplitz_along_axis
+from .operators import (OpKind, adjoint_apply, apply_matrix_along_axis,
+                        apply_op_nd, axis_plans)
 from .variational import check_admissible
 
 
@@ -131,59 +136,84 @@ def transfinite_init(grid: GridND, psi: Field) -> Field:
     return Field(grid, (vals - rest)[np.newaxis])
 
 
-def _fast_diagonalization(grid: GridND, mats: list[np.ndarray]
-                          ) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact inverse of the interior Hessian, as a map on interior
-    vectors (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-
-    Every interior trapezoid weight of axis l is h_l, so the interior block
-    of 2 sum_i M_i^T omega M_i is the Kronecker sum
-    sum_i c_i (I x ... x T_i x ... x I) with c_i = 2 prod_{l != i} h_l and
-    T_i = (M_i^T diag(w_i) M_i)[1:-1, 1:-1].  One eigendecomposition per
-    axis diagonalizes it.  If a denominator sum_i c_i lambda_i is not
-    positive the map is the identity (unpreconditioned CG).
-    """
-    ts = []
-    for ax, M in zip(grid.axes, mats):
-        bm = np.sqrt(ax.trapezoid_weights())[:, None] * M[:, 1:-1]
-        ts.append(bm.T @ bm)   # numpy's a.T @ a path: symmetric bitwise
+def _gram_rows(grid: GridND, plans) -> tuple[list[float], list[np.ndarray]]:
+    """(c_i, G_i[1:-1]) per axis: the scale c_i = 2 prod_{l != i} h_l and
+    the interior rows of the Gram matrix G_i = M_i^T diag(w_i) M_i of the
+    axis-i B-plan's weights M_i."""
     hs = [ax.h for ax in grid.axes]
     cs = [2.0 * math.prod(hs[:i] + hs[i + 1:]) for i in range(grid.ndim)]
-    if grid.ndim == 1:
+    rows = []
+    for ax, bp in zip(grid.axes, plans):
+        bm = np.sqrt(ax.trapezoid_weights())[:, None] * bp.matrix
+        rows.append((bm.T @ bm)[1:-1])   # numpy's a.T @ a: symmetric bitwise
+    return cs, rows
+
+
+def _gram_sum(cs: list[float], mats: list[np.ndarray],
+              xs: list[np.ndarray]) -> np.ndarray:
+    """sum_i c_i (mats[i] along axis i of xs[i])."""
+    return sum(c * apply_matrix_along_axis(m, x[np.newaxis], i)[0]
+               for i, (c, m, x) in enumerate(zip(cs, mats, xs)))
+
+
+def _interior_gradient(cs: list[float], rows: list[np.ndarray],
+                       u: np.ndarray) -> np.ndarray:
+    """The gradient 2 sum_i M_i^T omega M_i u of the discrete energy on the
+    interior nodes of the grid array u: axis i applies G_i[1:-1] to the
+    nodes of u that are interior along every other axis."""
+    d = u.ndim
+    return _gram_sum(cs, rows, [
+        u[tuple(slice(None) if l == i else slice(1, -1) for l in range(d))]
+        for i in range(d)])
+
+
+def _fast_diagonalization(cs: list[float], ts: list[np.ndarray]
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact inverse of the interior Hessian sum_i c_i (T_i along axis
+    i), as a map on interior arrays (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964): one eigendecomposition per axis diagonalizes the Kronecker sum.
+    If a denominator sum_i c_i lambda_i is not positive the map is the
+    identity (unpreconditioned CG).
+    """
+    if len(ts) == 1:
         # The Kronecker sum is c T itself, and one LU solve costs far less
         # than eigh.  T = B^T B is positive semidefinite and vanishes only
         # for p = q = 0, which returned early under DegenerateEnergy.
         return lambda r: np.linalg.solve(ts[0], r) / cs[0]
 
-    shape = tuple(n - 2 for n in grid.shape)
+    d = len(ts)
+    shape = tuple(t.shape[0] for t in ts)
     eigs = [np.linalg.eigh(t) for t in ts]
     denom = np.zeros(shape)
     for i, (c, (lam, _)) in enumerate(zip(cs, eigs)):
-        denom += c * lam.reshape([-1 if l == i else 1 for l in range(grid.ndim)])
+        denom += c * lam.reshape([-1 if l == i else 1 for l in range(d)])
     if np.any(denom <= 0.0):
         return lambda r: r
 
     def apply(r: np.ndarray) -> np.ndarray:
         # Each tensordot contracts axis 0 and appends the result axis last,
         # so d of them visit every axis once and restore the axis order.
-        y = r.reshape(shape)
+        y = r
         for _, vecs in eigs:
             y = np.tensordot(y, vecs, axes=(0, 0))   # V_i^T along axis i
         y = y / denom
         for _, vecs in eigs:
             y = np.tensordot(y, vecs, axes=(0, 1))   # V_i along axis i
-        return y.ravel()
+        return y
     return apply
 
 
 def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
                     ) -> MinimizeResult:
     """Minimize the discrete energy by conjugate gradients on the interior
-    unknowns, preconditioned by fast diagonalization: the interior Hessian
-    is a Kronecker sum of one matrix per axis, and its exact inverse (one
-    eigendecomposition per axis; one LU solve on a 1D grid) makes CG
-    converge in one or two iterations.  The iterate is one copy of the init,
-    updated on interior nodes; the first residual is minus its gradient there.
+    array, preconditioned by fast diagonalization.  Both the gradient and
+    the Hessian act through one Gram matrix G_i = M_i^T diag(w_i) M_i per
+    axis: the gradient applies the interior rows of every G_i to the grid
+    iterate, the Hessian applies T_i = G_i[1:-1, 1:-1] to interior arrays,
+    and the exact inverse of that Kronecker sum (one eigendecomposition per
+    axis; one LU solve on a 1D grid) makes CG converge in one or two
+    iterations.  The iterate is one copy of the init, updated through its
+    interior slice; the first residual is minus its gradient there.
 
     Returns (field, iterations, final gradient norm); raises
     NoConvergence (carrying the best iterate) past ``max_iter``.  If every
@@ -201,26 +231,17 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
         return MinimizeResult(init, 0, 0.0)
 
     grid = spec.grid
-    plans = spec.b_plans()
-    omega = grid.trapezoid_weight_tensor()
-    interior = grid.interior_mask()
-    om_int = omega[interior]
-
-    def grad_full(u_full: np.ndarray) -> np.ndarray:
-        """Raw gradient of E on the full grid: 2 sum_i M_i^T omega M_i u."""
-        g = np.zeros(grid.shape)
-        for bp in plans:
-            mu = toeplitz_along_axis(bp, u_full[np.newaxis])[0]
-            g += toeplitz_along_axis(bp, (omega * mu)[np.newaxis],
-                                     transpose=True)[0]
-        return 2.0 * g
-
+    d = grid.ndim
+    vol = math.prod(ax.h for ax in grid.axes)   # every interior weight
+    cs, rows = _gram_rows(grid, spec.b_plans())
+    ts = [g[:, 1:-1] for g in rows]
     u = init.values[0].copy()
-    precondition = _fast_diagonalization(grid, [bp.matrix for bp in plans])
-    max_iter = spec.max_iter if spec.max_iter is not None else 10 * om_int.size
+    inner = u[(slice(1, -1),) * d]   # a view: steps update u in place
+    precondition = _fast_diagonalization(cs, ts)
+    max_iter = spec.max_iter if spec.max_iter is not None else 10 * inner.size
 
-    r = -grad_full(u)[interior]
-    grad_norm = float(np.max(np.abs(r / om_int)))
+    r = -_interior_gradient(cs, rows, u)
+    grad_norm = float(np.max(np.abs(r))) / vol
     it = 0
     while grad_norm > spec.tol:
         if it >= max_iter:
@@ -232,14 +253,12 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
         # The preconditioned residual is formed only when another step is
         # taken: on a long 1D line each application is an O(n^3) solve.
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = float(np.vdot(r, z))
         # Copy: the identity fallback returns r itself, updated below.
         p = z.copy() if it == 0 else z + (rz_new / rz) * p
         rz = rz_new
-        buf = np.zeros(grid.shape)
-        buf[interior] = p
-        Ap = grad_full(buf)[interior]   # the interior Hessian times p
-        pAp = float(p @ Ap)
+        Ap = _gram_sum(cs, ts, [p] * d)   # the interior Hessian times p
+        pAp = float(np.vdot(p, Ap))
         # With pAp > 0 and exact line search the energy decreases by
         # alpha * rz / 2 >= 0 each step; this is the per-iteration
         # monotonicity guard (rz >= 0 holds structurally for a positive
@@ -249,10 +268,10 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
                 "the discrete energy is not positive definite along a CG "
                 "direction; the quadratic form degenerated")
         alpha = rz / pAp
-        u[interior] += alpha * p
+        inner += alpha * p
         r -= alpha * Ap
         it += 1
-        grad_norm = float(np.max(np.abs(r / om_int)))
+        grad_norm = float(np.max(np.abs(r))) / vol
 
     return MinimizeResult(Field(grid, u[np.newaxis]), it, grad_norm)
 

@@ -27,8 +27,8 @@ spectrum the plan caches; the two end values then enter through the
 boundary columns of p*L + q*R, an O(n) correction.  The dense (n+1)^2
 matrix is built on first use only: by batches of at least n+1 lines, where
 it is no larger than the data and a BLAS product beats the FFT, and by the
-Dirichlet preconditioner.  A's derivative is a 3-point stencil, never a
-dense matrix.
+Dirichlet solver's Gram matrices.  A's derivative is a 3-point stencil,
+never a dense matrix.
 
 Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.

@@ -100,6 +100,28 @@ def test_nan_in_decrease_factor_sweep_fails(nan_row):
     assert math.isnan(entry["value"]) and entry["pass"] is False
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_summary_is_strict_json(tmp_path):
+    # One sweep size: order_est is NaN and the smallest decrease factor is
+    # infinite, written as strings that strict JSON parsers accept.
+    payload = load_payload("convergence_K_quadratic.json")
+    payload["sweep"] = payload["sweep"][:1]
+    assert "order_est_range" in payload["tolerances"]
+    code = cli.run(write_payload(tmp_path, payload), output_dir=str(tmp_path))
+    assert code == 2
+    _, summary_path = outputs(tmp_path, payload)
+    summary = json.loads(summary_path.read_text(encoding="utf-8"),
+                         parse_constant=reject_constant)
+    tolerances = summary["tolerances"]
+    assert tolerances["order_est_range"]["value"] == "NaN"
+    assert tolerances["order_est_range"]["pass"] is False
+    assert tolerances["decrease_factor_min"]["value"] == "Infinity"
+    assert tolerances["decrease_factor_min"]["pass"] is True
+
+
 def test_decrease_factor_zero_error_is_infinite():
     table = np.array([[16, 1e-2], [32, 1e-3], [64, 0.0], [128, 0.0]])
     entry = cli.evaluate_tolerances({"decrease_factor_min": 2.0},

@@ -10,7 +10,8 @@ from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      tabulated_kernel, transfinite_init, uniqueness_check)
 from fracvar.errors import (BoundaryViolation, DegenerateEnergy, GridMismatch,
                             NoConvergence)
-from fracvar.operators import apply_matrix_along_axis
+from fracvar.operators import (apply_matrix_along_axis,
+                               toeplitz_along_axis)
 
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
@@ -251,20 +252,43 @@ class TestFastDiagonalization:
 
     @pytest.mark.parametrize("name", ["2d-two-sided-rl", "3d-two-sided"])
     def test_one_gradient_per_iteration(self, name, monkeypatch):
-        # grad_full applies each axis plan forward and transposed: 2 ndim
-        # calls per full-grid gradient, one gradient for the initial
-        # residual and one per CG step.
+        # The gradient applies one Gram matrix per axis, and so does each
+        # Hessian product: ndim products for the initial residual and ndim
+        # per CG step.
         calls = []
-        wrapped = fracvar.dirichlet.toeplitz_along_axis
+        wrapped = fracvar.dirichlet.apply_matrix_along_axis
 
         def counting(*args, **kwargs):
             calls.append(1)
             return wrapped(*args, **kwargs)
-        monkeypatch.setattr(fracvar.dirichlet, "toeplitz_along_axis", counting)
+        monkeypatch.setattr(fracvar.dirichlet, "apply_matrix_along_axis",
+                            counting)
         spec = anisotropic_spec(ANISOTROPIC[name])
         result = minimize_energy(spec)
         assert result.iterations >= 1
-        assert len(calls) == 2 * spec.grid.ndim * (1 + result.iterations)
+        assert len(calls) == spec.grid.ndim * (1 + result.iterations)
+
+    @pytest.mark.parametrize("axes", list(ANISOTROPIC.values()) + [
+        [(0.0, 1.0, 40, 0.7, 0.3, 0.5, rl_kernel())]],
+        ids=list(ANISOTROPIC) + ["1d-two-sided-rl"])
+    def test_gram_gradient_matches_full_grid_gradient(self, axes):
+        # The full-grid gradient 2 sum_i M_i^T omega M_i u, applied forward
+        # and transposed, against its Gram form on interior nodes.
+        spec = anisotropic_spec(axes)
+        grid, plans = spec.grid, spec.b_plans()
+        u = np.random.default_rng(5).standard_normal(grid.shape)
+        omega = grid.trapezoid_weight_tensor()
+        full = np.zeros(grid.shape)
+        for bp in plans:
+            mu = toeplitz_along_axis(bp, u[np.newaxis])[0]
+            full += toeplitz_along_axis(bp, (omega * mu)[np.newaxis],
+                                        transpose=True)[0]
+        expected = (2.0 * full)[(slice(1, -1),) * grid.ndim]
+        got = fracvar.dirichlet._interior_gradient(
+            *fracvar.dirichlet._gram_rows(grid, plans), u)
+        assert got.shape == expected.shape
+        assert (np.max(np.abs(got - expected))
+                <= 1e-13 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("ndim, n", [(1, 64), (1, 256), (1, 1024),
                                          (2, 32), (3, 12)])
