@@ -5,7 +5,7 @@ A config file is one JSON document:
     {
       "command": "ibp-check",
       "problem": { ... nested problem description ... },
-      "sweep": [64, 128, 256],          // optional grid sizes, each >= 4
+      "sweep": [64, 128, 256],          // optional distinct grid sizes, each >= 4
       "tolerances": { "residual_abs": 5e-3, ... },
       "seed": 42,
       "output_path": "ibp.csv"
@@ -105,6 +105,8 @@ def load_config(path: str) -> ExperimentConfig:
                 or not all(_integer(n) and n >= 4 for n in sweep)):
             raise ConfigError("'sweep' must be a list of integers >= 4",
                               field="sweep")
+        if len(set(sweep)) != len(sweep):
+            raise ConfigError("'sweep' must not repeat a size", field="sweep")
         sweep = tuple(sweep)
     size = problem.get("size", 64)
     if not (_integer(size) and size >= 4):

@@ -78,7 +78,10 @@ def invariance_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> 
     """Nodewise necessary condition of invariance; near-zero everywhere
     certifies invariance of the functional under the generator."""
     check_admissible(spec, u)
-    xi = gen.sample(spec, u)
+    return _invariance(spec, u, gen.sample(spec, u))
+
+
+def _invariance(spec: ProblemSpec, u: Field, xi: Field) -> Field:
     t, uu, v, w = _blocks(spec, u)
     lag = spec.lagrangian
     du = np.broadcast_to(lag.d_u(t, uu, v, w), (lag.N,) + spec.grid.shape)
@@ -125,7 +128,10 @@ def noether_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> Fie
     near-zero on extremals of an invariant functional is the Noether
     identity."""
     check_admissible(spec, u)
-    xi = gen.sample(spec, u)
+    return _noether(spec, u, gen.sample(spec, u))
+
+
+def _noether(spec: ProblemSpec, u: Field, xi: Field) -> Field:
     t, uu, v, w = _blocks(spec, u)
     lag = spec.lagrangian
     dv = lag.d_v(t, uu, v, w)
@@ -144,9 +150,11 @@ def chain_identity_residual(spec: ProblemSpec, u: Field,
                             gen: SymmetryGenerator) -> float:
     """Max-node defect of the unconditional identity
     noether = invariance - sum_k xi_k . el_k; floating-point small for any
-    u because all three terms share the same operator realizations."""
+    u because all three terms share the same operator realizations and the
+    same generator sample."""
     xi = gen.sample(spec, u)
-    noe = noether_residual(spec, u, gen).data
-    inv = invariance_residual(spec, u, gen).data
+    check_admissible(spec, u)
+    noe = _noether(spec, u, xi).data
+    inv = _invariance(spec, u, xi).data
     el = el_residual(spec, u).values
     return float(np.max(np.abs(noe - inv + np.sum(xi.values * el, axis=0))))

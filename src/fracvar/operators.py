@@ -18,17 +18,25 @@ with the K^(1-alpha) samples.
 
 A plan's weights are p*L + q*R: L is lower-Toeplitz in the cell-moment
 symbol with a first-column correction, and R is L flipped on both axes
-(negated for B).  The plan stores only the O(n) symbol and correction
-column.  Its weights are one Toeplitz product with the two boundary columns
-apart: with the line's end values set aside, p*T +/- q*J T J (T the full
+(negated for B).  The symbol, correction column and sign depend only on the
+quadrature family (K-type for K and A, L1 for B), the kernel and the grid,
+so every plan of one quadrature shares one read-only copy: K and A plans of
+one effective order, dual plans and every p-set.  A bounded cache
+(``_shared_symbol``) keeps the 16 most recently used, each O(n).
+
+The weights are one Toeplitz product with the two boundary columns apart:
+with the line's end values set aside, p*T +/- q*J T J (T the full
 lower-Toeplitz matrix of the symbol, J the index flip) is a Toeplitz matrix,
-applied by rfft/irfft on a circulant of power-of-two length >= 2n-1 whose
-spectrum the plan caches; the two end values then enter through the
-boundary columns of p*L + q*R, an O(n) correction.  The dense (n+1)^2
-matrix is built on first use only: by batches of at least n+1 lines, where
-it is no larger than the data and a BLAS product beats the FFT, and by the
-Dirichlet solver's Gram matrices.  A's derivative is a 3-point stencil,
-never a dense matrix.
+applied by rfft/irfft on a circulant of power-of-two length >= 2n-1.  The
+shared symbol holds S, the rfft of the zero-padded symbol, computed on first
+use; J T J embeds as the reflection of T, whose spectrum is conj(S), so a
+plan's circulant spectrum is the p-set mix p*S +/- q*conj(S) and takes no
+FFT of its own.  The two end values then enter through the boundary columns
+of p*L + q*R, an O(n) correction.  The dense (n+1)^2 matrix is built per
+plan on first use only: by batches of at least n+1 lines, where it is no
+larger than the data and a BLAS product beats the FFT, and by the Dirichlet
+solver's Gram matrices.  A's derivative is a 3-point stencil, never a dense
+matrix.
 
 Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.
@@ -68,7 +76,7 @@ def derivative_along_axis(values: np.ndarray, grid: Grid1D, axis: int,
     c = 0.5 / h
     first = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     last = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    f = np.moveaxis(values, axis + 1, 0)
+    f = np.swapaxes(values, axis + 1, 0)
     if transpose:
         out = np.zeros_like(f)
         out[:-2] -= c * f[1:-1]
@@ -80,7 +88,7 @@ def derivative_along_axis(values: np.ndarray, grid: Grid1D, axis: int,
         out[1:-1] = c * f[2:] - c * f[:-2]
         out[0] = first[0] * f[0] + first[1] * f[1] + first[2] * f[2]
         out[-1] = last[0] * f[-3] + last[1] * f[-2] + last[2] * f[-1]
-    return np.moveaxis(out, 0, axis + 1)
+    return np.swapaxes(out, 0, axis + 1)
 
 
 def _check_tabulated_resolution(kernel: KernelSpec, grid: Grid1D) -> None:
@@ -107,13 +115,14 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
     so u + v = m0.  Arrays are indexed d-1 = 0..n-1.
     """
     n, h = grid.n, grid.h
-    d = np.arange(1, n + 1, dtype=float)
     if kernel.family is KernelFamily.RIEMANN_LIOUVILLE:
+        # One power per exponent over the nodes x = 0, h, ..., nh; cell d
+        # spans (lo, hi) = (x[d-1], x[d]).
         mu = kernel.order
-        lo = (d - 1.0) * h
-        hi = d * h
-        m0 = (hi ** mu - lo ** mu) / math.gamma(mu + 1.0)
-        s1 = (hi ** (mu + 1.0) - lo ** (mu + 1.0)) / ((mu + 1.0) * math.gamma(mu))
+        x = np.arange(n + 1, dtype=float) * h
+        lo, hi = x[:-1], x[1:]
+        m0 = np.diff(x ** mu) / math.gamma(mu + 1.0)
+        s1 = np.diff(x ** (mu + 1.0)) / ((mu + 1.0) * math.gamma(mu))
         u = (s1 - lo * m0) / h
         v = (hi * m0 - s1) / h
     elif kernel.family is KernelFamily.CONSTANT:
@@ -121,10 +130,10 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
         u = np.full(n, 0.5 * h)
         v = np.full(n, 0.5 * h)
     else:
-        _check_tabulated_resolution(kernel, grid)
         smp = kernel.samples
         # Gauss nodes per cell; np.interp extends by the end values, which only
-        # matters inside the first half-cell (resolution check above).
+        # matters inside the first half-cell (make_plan's resolution check).
+        d = np.arange(1, n + 1, dtype=float)
         s = (d[:, None] - 1.0) * h + h * _GAUSS01_X[None, :]
         k = np.interp(s, smp[:, 0], smp[:, 1])
         m0 = h * k @ _GAUSS01_W
@@ -133,34 +142,67 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
     return m0, u, v
 
 
-def _symbol(kind: OpKind, kernel: KernelSpec, grid: Grid1D
-            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(symbol, column0, sign) of the K quadrature (K, A) or the L1
-    construction (B).  L[i, j] = symbol[i - j] for i >= j >= 1,
+@dataclass(frozen=True, eq=False)
+class _Symbol:
+    """The O(n) quadrature data that every plan of one quadrature shares,
+    read-only.  L[i, j] = symbol[i - j] for i >= j >= 1,
     L[i, 0] = column0[i - 1] for i >= 1 (the first-cell correction) and row 0
     is zero; R = sign * J L J flips L (negated for B, whose rows then sum to
     zero, so B annihilates constants exactly)."""
+
+    symbol: np.ndarray
+    column0: np.ndarray
+    sign: float
+
+    def __post_init__(self) -> None:
+        self.symbol.setflags(write=False)
+        self.column0.setflags(write=False)
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[int, np.ndarray]:
+        """(size, S): S is the rfft of symbol[:n], zero-padded to the
+        power-of-two circulant size >= 2n - 1.  Built on first use; two
+        threads that both miss compute the same S, and either result may be
+        kept."""
+        n = self.symbol.size - 1
+        size = 1 << (2 * n - 2).bit_length()
+        return size, np.fft.rfft(self.symbol[:n], size)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_symbol(l1: bool, family: KernelFamily, order: float | None,
+                   samples: bytes | None, grid: Grid1D) -> _Symbol:
+    """The symbol of the K quadrature (K, A) or, with l1, the L1
+    construction (B) on grid, for the kernel of this family with this
+    resolved order (RL only) and these sample bytes (tabulated only).  The
+    key is the content, never an object id, so equal kernels share an entry.
+    The 16 most recently used symbols are kept."""
+    if samples is not None:
+        kernel = KernelSpec(family, None, np.frombuffer(samples).reshape(-1, 2))
+    else:
+        kernel = KernelSpec(family, order)
     h = grid.h
     m0, u, v = _cell_moments(kernel, grid)
-    if kind is OpKind.B:
+    if l1:
         symbol = np.concatenate([m0[:1], np.diff(m0, append=0.0)]) / h
-        return symbol, -m0 / h, -1.0
+        return _Symbol(symbol, -m0 / h, -1.0)
     # An interior node at distance d >= 1 weighs u(d) + v(d+1).
-    return np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0
+    return _Symbol(np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class FracOpPlan:
     """A compiled partial operator: kind, order, p-set, kernel, axis, grid
-    and the O(n) quadrature data of its weights p*L + q*R (see ``_symbol``):
+    and the O(n) quadrature data of its weights p*L + q*R (see ``_Symbol``):
     the Toeplitz ``symbol``, the first-cell correction ``column0`` and the
-    ``sign`` of R.  For K and B the weights are the operator; for A they are
-    the inner K^(1-alpha) weights, and the derivative is applied as a
-    stencil after them.
+    ``sign`` of R, all views of the ``shared`` symbol.  For K and B the
+    weights are the operator; for A they are the inner K^(1-alpha) weights,
+    and the derivative is applied as a stencil after them.
 
     ``matrix`` is the dense (n+1)^2 weight matrix, built on first read and
-    then cached; applies read it only for batches of at least n+1 lines.
-    Shorter batches use the circulant spectrum, also cached on first use."""
+    then cached on the plan; applies read it only for batches of at least
+    n+1 lines.  Shorter batches use the circulant spectrum, mixed from the
+    shared symbol's on first use."""
 
     kind: OpKind
     order: float
@@ -171,12 +213,7 @@ class FracOpPlan:
     symbol: np.ndarray
     column0: np.ndarray
     sign: float
-
-    def __post_init__(self) -> None:
-        for name in ("symbol", "column0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    shared: _Symbol
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -197,20 +234,18 @@ class FracOpPlan:
     def _circulant(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """(size, spectrum, first, last): the rfft of a circulant that embeds
         p*T + q*sign*J T J, and columns 0 and n of p*L + q*R, which the
-        Toeplitz part leaves out.  Columns 0 and n aside, and rows 0 and n
-        in the transpose, every used entry has |i - j| <= n - 1, so the
-        power-of-two size >= 2n - 1 wraps none of them onto another."""
+        Toeplitz part leaves out.  T embeds as the zero-padded symbol, with
+        the shared spectrum S, and J T J as its reflection k -> -k, whose
+        spectrum is conj(S); so the spectrum is p*S + q*sign*conj(S).
+        Columns 0 and n aside, and rows 0 and n in the transpose, every used
+        entry has |i - j| <= n - 1, so the power-of-two size >= 2n - 1 wraps
+        none of them onto another."""
         c, col0 = self.symbol, self.column0
-        n = c.size - 1
         p, sq = self.pset.p, self.sign * self.pset.q
-        size = 1 << (2 * n - 2).bit_length()
-        col = np.zeros(size)
-        col[:n] = p * c[:n]                         # i - j = d, d = 0 .. n-1
-        col[size - n + 1:] = sq * c[n - 1:0:-1]     # i - j = -d, d = n-1 .. 1
-        col[0] += sq * c[0]
+        size, S = self.shared.spectrum
         first = np.concatenate([[sq * c[0]], p * col0])
         last = np.concatenate([sq * col0[::-1], [p * c[0]]])
-        return size, np.fft.rfft(col), first, last
+        return size, p * S + sq * S.conj(), first, last
 
 
 def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
@@ -219,7 +254,9 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
 
     The kernel's subscript is the *effective* order: alpha for K, 1-alpha
     for A and B.  A KernelSpec with order=None is resolved automatically; a
-    mismatching explicit order raises OrderError.
+    mismatching explicit order raises OrderError.  Every argument is checked
+    on every call; the quadrature symbol is then looked up in the shared
+    cache and computed only on a miss.
     """
     if kind is OpKind.K:
         if not (0.0 < order <= 1.0):
@@ -241,9 +278,15 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
             f"interval ({grid.a}, {grid.b})")
     if axis < 0:
         raise AxisError(f"axis must be nonnegative, got {axis}")
+    if kernel.family is KernelFamily.TABULATED:
+        _check_tabulated_resolution(kernel, grid)
 
-    return FracOpPlan(kind, order, pset, kernel, axis, grid,
-                      *_symbol(kind, kernel, grid))
+    shared = _shared_symbol(
+        kind is OpKind.B, kernel.family,
+        kernel.order if kernel.family is KernelFamily.RIEMANN_LIOUVILLE else None,
+        None if kernel.samples is None else kernel.samples.tobytes(), grid)
+    return FracOpPlan(kind, order, pset, kernel, axis, grid, shared.symbol,
+                      shared.column0, shared.sign, shared)
 
 
 def axis_plans(kind: OpKind, orders, psets, kernels, grid: GridND
@@ -267,7 +310,7 @@ def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
 
     A batch of at least n+1 lines is multiplied by the dense plan.matrix,
     which is then no larger than the data.  Fewer lines go through the
-    cached circulant spectrum: forward, the end values are zeroed, the
+    plan's circulant spectrum: forward, the end values are zeroed, the
     Toeplitz product taken and the end values added back through the
     boundary columns; transposed, the product uses the conjugate spectrum
     and the boundary columns give entries 0 and n."""
@@ -277,7 +320,7 @@ def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
         return apply_matrix_along_axis(M.T if transpose else M, values,
                                        plan.axis)
     size, spectrum, first, last = plan._circulant
-    f = np.moveaxis(values, plan.axis + 1, -1)
+    f = np.swapaxes(values, plan.axis + 1, -1)
     if transpose:
         out = np.fft.irfft(np.fft.rfft(f, size) * spectrum.conj(),
                            size)[..., :n + 1]
@@ -290,7 +333,7 @@ def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
         out = np.fft.irfft(np.fft.rfft(g, size) * spectrum, size)[..., :n + 1]
         out += np.multiply.outer(f[..., 0], first)
         out += np.multiply.outer(f[..., -1], last)
-    return np.moveaxis(out, -1, plan.axis + 1)
+    return np.swapaxes(out, -1, plan.axis + 1)
 
 
 def _check_plan_grid(plan: FracOpPlan, f: Field) -> None:

@@ -153,6 +153,17 @@ def test_rejected_problem_key_exits_1(tmp_path, capsys, name, key, value):
     assert err.startswith("error: ") and f"(field: {key})" in err
 
 
+def test_repeated_sweep_size_exits_1(tmp_path, capsys):
+    # A repeated size would divide by log(1) in order_est.
+    payload = load_payload("convergence_K_quadratic.json")
+    payload["sweep"] = [64, 64]
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repeat" in err
+    assert "(field: sweep)" in err
+
+
 def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):
     payload = load_payload("op_apply_halfint.json")
     payload["tolerances"]["order_est_range"] = [1, 2]

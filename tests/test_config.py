@@ -138,7 +138,8 @@ class TestRootSchema:
         with pytest.raises(ConfigError, match="'problem'"):
             load_config(write(tmp_path, payload))
 
-    @pytest.mark.parametrize("sweep", ["64", [], [2], [64, "a"], [64.0]])
+    @pytest.mark.parametrize("sweep", ["64", [], [2], [64, "a"], [64.0],
+                                       [64, 128, 64]])
     def test_bad_sweep(self, tmp_path, sweep):
         payload = base_op_apply()
         payload["sweep"] = sweep

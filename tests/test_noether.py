@@ -6,7 +6,7 @@ import pytest
 from fracvar import (DirichletSpec, Field, GridND, ParamSet, ProblemSpec,
                      SymmetryGenerator, adjoint_apply, apply_op_nd, bracket_D,
                      bracket_I, chain_identity_residual,
-                     dirichlet_energy_lagrangian, dual, grid_1d,
+                     dirichlet_energy_lagrangian, dual, el_residual, grid_1d,
                      integral_coupling_lagrangian, interior_max_abs,
                      invariance_residual, make_plan, make_uniform_grid,
                      minimize_energy, noether_residual, rl_kernel)
@@ -133,6 +133,23 @@ class TestChainIdentity:
                                   "coordinate")]
         for gen in gens:
             assert chain_identity_residual(spec, u, gen) <= 1e-10
+
+    def test_samples_the_generator_once(self):
+        # One sample serves all three terms; the defect is bitwise the one
+        # composed from the public residuals, each sampling on its own.
+        spec = spec_1d(32, integral_coupling_lagrangian(1))
+        u = smooth_field(spec.grid, seed=13)
+        calls = []
+        gen = SymmetryGenerator(lambda t, uu: calls.append(1) or uu * uu,
+                                "quadratic")
+        defect = chain_identity_residual(spec, u, gen)
+        assert len(calls) == 1
+        noe = noether_residual(spec, u, gen).data
+        inv = invariance_residual(spec, u, gen).data
+        xi = gen.sample(spec, u).values
+        el = el_residual(spec, u).values
+        assert defect == float(np.max(np.abs(noe - inv
+                                             + np.sum(xi * el, axis=0))))
 
     def test_closes_for_K_block_lagrangian(self):
         spec = spec_1d(48, integral_coupling_lagrangian(1))

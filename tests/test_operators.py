@@ -1,6 +1,8 @@
 """Discrete K/A/B operators: closed-form accuracy, structure, adjoints."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -359,6 +361,13 @@ def _reference_d_matrix(grid):
     return D
 
 
+def _arrays(obj) -> list:
+    """The arrays an object holds, directly or in a tuple attribute."""
+    return [a for v in vars(obj).values()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+
+
 class TestRepresentation:
     @pytest.mark.parametrize("n", [8, 33, 128])
     @pytest.mark.parametrize("pq", PSETS)
@@ -373,7 +382,8 @@ class TestRepresentation:
 
     def test_plan_holds_one_array(self):
         # Until .matrix is read a plan holds only O(n) arrays: the symbol,
-        # the correction column and, after an FFT apply, the circulant data.
+        # the correction column and, after an FFT apply, the circulant data;
+        # its shared symbol holds the symbol, the column and their spectrum.
         n = 8
         grid = grid_1d(0.0, 1.0, n)
         f = Field(grid, np.sin(grid.axes[0].nodes))
@@ -382,14 +392,12 @@ class TestRepresentation:
                              rl_kernel(), grid.axes[0])
             apply_op_nd(plan, f)
             adjoint_apply(plan, f, negate=False)
-            arrays = [a for v in vars(plan).values()
-                      for a in (v if isinstance(v, tuple) else (v,))
-                      if isinstance(a, np.ndarray)]
             assert "matrix" not in vars(plan)
             assert {"symbol", "column0"} <= set(vars(plan))
-            assert all(a.size <= 2 * (n + 1) for a in arrays)
+            assert all(a.size <= 2 * (n + 1) for a in _arrays(plan))
             assert plan.matrix.shape == (n + 1, n + 1)
             assert plan.matrix is vars(plan)["matrix"]
+            assert all(a.size <= 2 * (n + 1) for a in _arrays(plan.shared))
 
     def test_A_apply_is_one_matvec(self, monkeypatch):
         # One Toeplitz product per A apply and per A adjoint; the derivative
@@ -411,19 +419,23 @@ class TestRepresentation:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_stencil_matches_dense_derivative(self, transpose):
         rng = np.random.default_rng(5)
-        grid = GridND((make_uniform_grid(0.0, 1.0, 6),
-                       make_uniform_grid(-1.0, 2.0, 37)))
-        vals = rng.standard_normal((2,) + grid.shape)
-        for axis in (0, 1):
-            D = _reference_d_matrix(grid.axes[axis])
-            M = D.T if transpose else D
-            expect = np.moveaxis(np.tensordot(M, vals, axes=([1], [axis + 1])),
-                                 0, axis + 1)
-            got = derivative_along_axis(vals, grid.axes[axis], axis,
-                                        transpose=transpose)
-            assert got.shape == vals.shape
-            scale = np.max(np.abs(expect))
-            assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+        grids = [GridND((make_uniform_grid(0.0, 1.0, 6),
+                         make_uniform_grid(-1.0, 2.0, 37))),
+                 GridND((make_uniform_grid(0.0, 1.0, 5),
+                         make_uniform_grid(-1.0, 2.0, 4),
+                         make_uniform_grid(0.0, 0.5, 9)))]
+        for grid in grids:
+            vals = rng.standard_normal((2,) + grid.shape)
+            for axis in range(grid.ndim):
+                D = _reference_d_matrix(grid.axes[axis])
+                M = D.T if transpose else D
+                expect = np.moveaxis(
+                    np.tensordot(M, vals, axes=([1], [axis + 1])), 0, axis + 1)
+                got = derivative_along_axis(vals, grid.axes[axis], axis,
+                                            transpose=transpose)
+                assert got.shape == vals.shape
+                scale = np.max(np.abs(expect))
+                assert np.max(np.abs(got - expect)) <= 1e-13 * scale
 
 
 class TestMatrixFree:
@@ -444,6 +456,117 @@ class TestMatrixFree:
         M = plan.matrix
         for got, dense in ((fwd, x @ M.T), (adj, x @ M)):
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("pq", PSETS)
+    @pytest.mark.parametrize("family", ["rl", "constant", "tabulated"])
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_warm_plan_equals_cold_build(self, kind, family, pq):
+        # A plan served a cached symbol, which its dual filled and
+        # transformed, equals a plan built on an empty cache bitwise, and
+        # its FFT apply stays within 2.4e-15 of the dense product.
+        n = 64
+        g = make_uniform_grid(0.0, 1.0, n)
+        kernel = _family_kernel(family, kind, 0.6, n)
+        pset = ParamSet(0.0, 1.0, *pq)
+        x = np.random.default_rng(n).standard_normal((2, n + 1))
+
+        def build():
+            plan = make_plan(kind, 0.6, pset, kernel, g)
+            return plan, [operators.toeplitz_along_axis(plan, x),
+                          operators.toeplitz_along_axis(plan, x, transpose=True)]
+
+        operators._shared_symbol.cache_clear()
+        cold, cold_out = build()
+        operators._shared_symbol.cache_clear()
+        donor = make_plan(kind, 0.6, dual(pset), kernel, g)
+        operators.toeplitz_along_axis(donor, x)
+        warm, warm_out = build()
+        assert warm.shared is donor.shared and warm.shared is not cold.shared
+        assert operators._shared_symbol.cache_info().hits == 1
+        M = warm.matrix
+        assert np.array_equal(M, cold.matrix)
+        for got, want, dense in zip(warm_out, cold_out, (x @ M.T, x @ M)):
+            assert np.array_equal(got, want)
+            assert np.max(np.abs(got - dense)) <= 2.4e-15 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("pq", PSETS)
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_spectrum_is_the_pset_mix(self, kind, pq):
+        # p*S + sign*q*conj(S) against the rfft of the circulant's first
+        # column assembled entry by entry: p*symbol[d] at d = 0..n-1 and
+        # sign*q*symbol[d] at -d (mod size).
+        n = 37
+        plan = make_plan(kind, 0.6, ParamSet(0.0, 1.0, *pq), rl_kernel(),
+                         make_uniform_grid(0.0, 1.0, n))
+        size, spectrum = plan._circulant[:2]
+        col = np.zeros(size)
+        for d in range(n):
+            col[d] += pq[0] * plan.symbol[d]
+            col[-d % size] += plan.sign * pq[1] * plan.symbol[d]
+        want = np.fft.rfft(col)
+        assert np.max(np.abs(spectrum - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_tabulated_symbols_keyed_by_content(self):
+        n = 16
+        g = make_uniform_grid(0.0, 1.0, n)
+        s = np.linspace(0.01, 1.0, 4 * n + 1)
+        first = tabulated_kernel(np.column_stack([s, np.exp(-s)]))
+        equal = tabulated_kernel(np.column_stack([s, np.exp(-s)]))
+        other = tabulated_kernel(np.column_stack([s, np.exp(-2.0 * s)]))
+        plan = make_plan(OpKind.K, 0.5, LEFT, first, g)
+        assert make_plan(OpKind.K, 0.5, RIGHT, equal, g).shared is plan.shared
+        distinct = make_plan(OpKind.K, 0.5, LEFT, other, g)
+        assert distinct.shared is not plan.shared
+        assert not np.array_equal(distinct.symbol, plan.symbol)
+
+    def test_shared_symbols_are_bounded(self):
+        # More distinct operators than the cache keeps: the cache stays at
+        # its bound, and no symbol holds more than O(n) elements, even after
+        # its plan's dense matrix is built.
+        n = 32
+        grid = grid_1d(0.0, 1.0, n)
+        f = Field(grid, grid.axes[0].nodes)
+        bound = operators._shared_symbol.cache_info().maxsize
+        for order in np.linspace(0.1, 0.9, bound + 5):
+            for kind in OpKind:
+                plan = make_plan(kind, order, LEFT, rl_kernel(), grid.axes[0])
+                apply_op_1d(plan, f)
+                assert plan.matrix.shape == (n + 1, n + 1)
+                assert all(a.size <= 2 * (n + 1) for a in _arrays(plan.shared))
+        assert operators._shared_symbol.cache_info().currsize <= bound <= 16
+
+    def test_threads_share_symbols(self):
+        # Threads that build and apply the same operators on an empty cache,
+        # switching often, all get the serial result bitwise.
+        n = 48
+        grid = grid_1d(0.0, 1.0, n)
+        f = Field(grid, np.random.default_rng(7).standard_normal(n + 1))
+        cases = [(kind, order, pq) for kind in OpKind for order in (0.3, 0.7)
+                 for pq in PSETS]
+
+        def run():
+            return [apply_op_nd(make_plan(kind, order, ParamSet(0.0, 1.0, *pq),
+                                          rl_kernel(), grid.axes[0]), f).values
+                    for kind, order, pq in cases]
+
+        want = run()
+        operators._shared_symbol.cache_clear()
+        results = [None] * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run()))
+                       for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
     def test_batched_dense_matches_line_fft(self, kind):
