@@ -21,8 +21,10 @@ symbol with a first-column correction, and R is L flipped on both axes
 (negated for B).  The symbol, correction column and sign depend only on the
 quadrature family (K-type for K and A, L1 for B), the kernel and the grid,
 so every plan of one quadrature shares one read-only copy: K and A plans of
-one effective order, dual plans and every p-set.  A bounded cache
-(``_shared_symbol``) keeps the 16 most recently used, each O(n).
+one effective order, dual plans and every p-set.  Both families read the
+same cell moments, so one entry of a bounded cache (``_shared_symbol``)
+holds both symbols of a kernel on a grid, from one moment computation; the
+16 most recently used entries are kept, each O(n).
 
 The weights are one Toeplitz product with the two boundary columns apart:
 with the line's end values set aside, p*T +/- q*J T J (T the full
@@ -170,24 +172,27 @@ class _Symbol:
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_symbol(l1: bool, family: KernelFamily, order: float | None,
-                   samples: bytes | None, grid: Grid1D) -> _Symbol:
-    """The symbol of the K quadrature (K, A) or, with l1, the L1
-    construction (B) on grid, for the kernel of this family with this
-    resolved order (RL only) and these sample bytes (tabulated only).  The
-    key is the content, never an object id, so equal kernels share an entry.
-    The 16 most recently used symbols are kept."""
+def _shared_symbol(family: KernelFamily, order: float | None,
+                   samples: bytes | None, grid: Grid1D
+                   ) -> tuple[_Symbol, _Symbol]:
+    """The symbols of the K quadrature (K, A) and of the L1 construction
+    (B) on grid, both from one set of cell moments, for the kernel of this
+    family with this resolved order (RL only) and these sample bytes
+    (tabulated only).  An A and a B plan of one order, whose kernels have
+    the same effective order, thus share one entry.  The key is the
+    content, never an object id, so equal kernels share an entry.  The 16
+    most recently used entries are kept."""
     if samples is not None:
         kernel = KernelSpec(family, None, np.frombuffer(samples).reshape(-1, 2))
     else:
         kernel = KernelSpec(family, order)
     h = grid.h
     m0, u, v = _cell_moments(kernel, grid)
-    if l1:
-        symbol = np.concatenate([m0[:1], np.diff(m0, append=0.0)]) / h
-        return _Symbol(symbol, -m0 / h, -1.0)
     # An interior node at distance d >= 1 weighs u(d) + v(d+1).
-    return _Symbol(np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0)
+    k_type = _Symbol(np.concatenate([v[:1], u[:-1] + v[1:], u[-1:]]), u, 1.0)
+    l1 = _Symbol(np.concatenate([m0[:1], np.diff(m0, append=0.0)]) / h,
+                 -m0 / h, -1.0)
+    return k_type, l1
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +286,11 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     if kernel.family is KernelFamily.TABULATED:
         _check_tabulated_resolution(kernel, grid)
 
-    shared = _shared_symbol(
-        kind is OpKind.B, kernel.family,
+    k_type, l1 = _shared_symbol(
+        kernel.family,
         kernel.order if kernel.family is KernelFamily.RIEMANN_LIOUVILLE else None,
         None if kernel.samples is None else kernel.samples.tobytes(), grid)
+    shared = l1 if kind is OpKind.B else k_type
     return FracOpPlan(kind, order, pset, kernel, axis, grid, shared.symbol,
                       shared.column0, shared.sign, shared)
 
@@ -297,10 +303,28 @@ def axis_plans(kind: OpKind, orders, psets, kernels, grid: GridND
             for i in range(grid.ndim)]
 
 
+def _matmul_along(M: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """M @ x for every line x of values along array axis ``axis``.
+
+    The values are viewed as (pre, n, post), with n the length of the axis,
+    and multiplied as one batched matmul, so no transposed copy of the
+    values is made and the result comes out in axis order.  On the last
+    axis the lines are the columns of an (n, pre) view instead, and the
+    result is a transposed view of M times it: that operand order rounds
+    bitwise as ``np.tensordot`` did, where x @ M.T does not."""
+    shape = values.shape
+    if axis == values.ndim - 1:
+        x = np.moveaxis(values, -1, 0).reshape(shape[-1], -1)
+        return (M @ x).T.reshape(shape[:-1] + M.shape[:1])
+    x = values.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return (M @ x).reshape(shape[:axis] + M.shape[:1] + shape[axis + 1:])
+
+
 def apply_matrix_along_axis(M: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """Apply M to every line of values (component axis 0 excluded) along axis."""
-    out = np.tensordot(M, values, axes=([1], [axis + 1]))
-    return np.moveaxis(out, 0, axis + 1)
+    """Apply M to every line of values (component axis 0 excluded) along
+    axis: one matmul on a (pre, n, post) view of the values (see
+    ``_matmul_along``)."""
+    return _matmul_along(M, values, axis + 1)
 
 
 def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
@@ -348,6 +372,39 @@ def _check_plan_grid(plan: FracOpPlan, f: Field) -> None:
             f"not match field axis {plan.axis}")
 
 
+def _apply_values(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
+    """``apply_op_nd`` on a value array (component axis 0 first), unchecked:
+    B centering, the Toeplitz product and, for A, the stencil.  Returns a
+    new array."""
+    if plan.kind is OpKind.B:
+        vals = vals - vals[(slice(None),) * (plan.axis + 1) + (slice(0, 1),)]
+    out = toeplitz_along_axis(plan, vals)
+    if plan.kind is OpKind.A:
+        out = derivative_along_axis(out, plan.grid, plan.axis)
+    return out
+
+
+def _weights_along(plan: FracOpPlan, ndim: int) -> np.ndarray:
+    """The trapezoid weights of the plan's axis, shaped to broadcast along
+    it in a value array of ndim axes (component axis 0 first)."""
+    w = plan.grid.trapezoid_weights()
+    return w.reshape(w.shape + (1,) * (ndim - plan.axis - 2))
+
+
+def _adjoint_weighted(plan: FracOpPlan, g: np.ndarray, wb: np.ndarray,
+                      negate: bool) -> np.ndarray:
+    """``adjoint_apply`` on weighted values g = wb * values, unchecked: the
+    transposed stencil (A) and Toeplitz product, then the division by the
+    weights and the sign, in place on the new result."""
+    if plan.kind is OpKind.A:
+        g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
+    out = toeplitz_along_axis(plan, g, transpose=True)
+    out /= wb
+    if negate:
+        np.negative(out, out=out)
+    return out
+
+
 def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
     """Apply the partial operator along plan.axis, every other coordinate
     frozen (line-by-line reduction to the 1D operator).
@@ -359,15 +416,10 @@ def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
     ``toeplitz_along_axis`` as K, so its samples coincide bitwise with the
     stencil derivative of the K^(1-alpha) samples."""
     _check_plan_grid(plan, f)
-    vals = f.values
-    if plan.kind is OpKind.B:
-        vals = vals - np.take(vals, [0], axis=plan.axis + 1)
-    out = toeplitz_along_axis(plan, vals)
-    if plan.kind is OpKind.A:
-        out = derivative_along_axis(out, plan.grid, plan.axis)
     flagged = (plan.kind is OpKind.A
                and plan.kernel.family is KernelFamily.RIEMANN_LIOUVILLE)
-    return Field(f.grid, out, flagged_boundary=flagged)
+    return Field(f.grid, _apply_values(plan, f.values),
+                 flagged_boundary=flagged)
 
 
 def apply_op_1d(plan: FracOpPlan, f: Field) -> Field:
@@ -404,17 +456,9 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     With a K-plan and negate=False it realizes K_{P*}^alpha likewise.
     """
     _check_plan_grid(plan, f)
-    w = plan.grid.trapezoid_weights()
-    shape = [1] * f.values.ndim
-    shape[plan.axis + 1] = w.size
-    wb = w.reshape(shape)
-    g = f.values * wb
-    if plan.kind is OpKind.A:
-        g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
-    out = toeplitz_along_axis(plan, g, transpose=True) / wb
-    if negate:
-        out = -out
-    return Field(f.grid, out, flagged_boundary=f.flagged_boundary)
+    wb = _weights_along(plan, f.values.ndim)
+    return Field(f.grid, _adjoint_weighted(plan, f.values * wb, wb, negate),
+                 flagged_boundary=f.flagged_boundary)
 
 
 def dual_plan(plan: FracOpPlan) -> FracOpPlan:

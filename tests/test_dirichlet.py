@@ -10,8 +10,8 @@ from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      tabulated_kernel, transfinite_init, uniqueness_check)
 from fracvar.errors import (BoundaryViolation, DegenerateEnergy, GridMismatch,
                             NoConvergence)
-from fracvar.operators import (apply_matrix_along_axis,
-                               toeplitz_along_axis)
+from fracvar.operators import (adjoint_apply, apply_matrix_along_axis,
+                               apply_op_nd, toeplitz_along_axis)
 
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
@@ -108,6 +108,80 @@ class TestTransfiniteInit:
         init = transfinite_init(grid, psi)
         mask = ~grid.interior_mask()
         np.testing.assert_array_equal(init.values[0][mask], psi.values[0][mask])
+
+    @pytest.mark.parametrize("axes", [
+        [(0.0, 1.0, 9), (-0.5, 2.0, 12)],
+        [(-0.3, 0.7, 5), (0.1, 2.9, 7), (1.0, 1.3, 3)],
+        [(0.0, 1.0, 10), (0.0, 1.0, 10), (0.0, 1.0, 10)],
+        [(0.0, 1.0, 256), (-1.0, 3.0, 200)],
+        [(0.0, 1.0, 40), (-1.0, 1.0, 44), (0.5, 2.0, 36)]],
+        ids=["2d", "3d", "3d-cube", "2d-blocks", "3d-blocks"])
+    def test_matches_blend_formula(self, axes):
+        # The product form I - prod_i (I - P_i), each blend formed as
+        # (1 - t) lo + t hi over the whole grid: the sweep in blocks of
+        # axis-0 slabs (several on the larger grids) gives the same values
+        # bitwise.
+        grid = GridND(tuple(make_uniform_grid(*ax) for ax in axes))
+        vals = np.random.default_rng(len(axes)).standard_normal(grid.shape)
+        d = grid.ndim
+        rest = vals
+        for i, ax in enumerate(grid.axes):
+            shape = [1] * d
+            shape[i] = ax.n + 1
+            t = ((ax.nodes - ax.a) / (ax.b - ax.a)).reshape(shape)
+            lo = np.take(rest, [0], axis=i)
+            hi = np.take(rest, [-1], axis=i)
+            rest = rest - ((1.0 - t) * lo + t * hi)
+        init = transfinite_init(grid, Field(grid, vals[np.newaxis]))
+        np.testing.assert_array_equal(init.values[0], vals - rest)
+
+    @pytest.mark.parametrize("psi_grid, ncomp", [
+        ([(0.0, 1.0, 6), (0.0, 1.0, 9)], 1),     # another shape
+        ([(0.0, 1.0, 6), (0.0, 2.0, 8)], 1),     # same shape, another interval
+        ([(0.0, 1.0, 6), (0.0, 1.0, 8)], 2),     # two components
+    ], ids=["shape", "interval", "components"])
+    def test_rejects_psi_off_grid(self, psi_grid, ncomp):
+        grid = GridND((make_uniform_grid(0.0, 1.0, 6),
+                       make_uniform_grid(0.0, 1.0, 8)))
+        other = GridND(tuple(make_uniform_grid(*ax) for ax in psi_grid))
+        psi = Field.constant(other, 1.0, ncomp=ncomp)
+        with pytest.raises(GridMismatch):
+            transfinite_init(grid, psi)
+
+
+class TestBvpResidual:
+    @pytest.mark.parametrize("name", ["1d-two-sided-rl", "2d-two-sided-rl",
+                                      "3d-two-sided"])
+    @pytest.mark.parametrize("field", ["random", "constant"])
+    def test_equals_sum_of_adjoint_products(self, name, field, monkeypatch):
+        # The array-level sum equals the sum of the public adjoint products
+        # bitwise, signed zeros included (B of a constant is exactly 0), and
+        # builds one Field: the result.
+        spec = anisotropic_spec(ONE_D.get(name) or ANISOTROPIC[name])
+        if field == "constant":
+            u = Field.constant(spec.grid, 1.7)
+        else:
+            u = Field(spec.grid, np.random.default_rng(9).standard_normal(
+                spec.grid.shape))
+        want = sum(adjoint_apply(bp, apply_op_nd(bp, u), negate=True).values
+                   for bp in spec.b_plans())
+        built = []
+        post_init = Field.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        got = bvp_residual(spec, u)
+        assert len(built) == 1
+        assert got.flagged_boundary
+        np.testing.assert_array_equal(got.values, want)
+        np.testing.assert_array_equal(np.signbit(got.values), np.signbit(want))
+
+    def test_rejects_vector_field(self):
+        spec = spec_1d(8, lambda t: t)
+        with pytest.raises(GridMismatch):
+            bvp_residual(spec, Field.constant(spec.grid, 1.0, ncomp=2))
 
 
 class TestMinimization:
@@ -206,6 +280,9 @@ ANISOTROPIC = {
 }
 
 
+ONE_D = {"1d-two-sided-rl": [(0.0, 1.0, 40, 0.7, 0.3, 0.5, rl_kernel())]}
+
+
 def anisotropic_spec(axes, tol=1e-12):
     grid = GridND(tuple(make_uniform_grid(a, b, n) for a, b, n, *_ in axes))
     psi = Field.from_function(
@@ -285,7 +362,7 @@ class TestFastDiagonalization:
                                         transpose=True)[0]
         expected = (2.0 * full)[(slice(1, -1),) * grid.ndim]
         got = fracvar.dirichlet._interior_gradient(
-            *fracvar.dirichlet._gram_rows(grid, plans), u)
+            fracvar.dirichlet._gram_rows(grid, plans), u)
         assert got.shape == expected.shape
         assert (np.max(np.abs(got - expected))
                 <= 1e-13 * np.max(np.abs(expected)))
@@ -313,3 +390,40 @@ class TestUniqueness:
             vals[interior] += rng.standard_normal(interior.sum())
             inits.append(Field(spec.grid, vals))
         assert uniqueness_check(spec, inits[0], inits[1]) <= 100.0 * spec.tol
+
+    @pytest.mark.parametrize("name", ["1d-two-sided-rl", "2d-two-sided-rl",
+                                      "3d-two-sided"])
+    def test_solver_data_built_once(self, name, monkeypatch):
+        # Both solves read one set of Gram rows and one preconditioner, and
+        # each equals a minimize_energy call of its own bitwise.
+        spec = anisotropic_spec(ONE_D.get(name) or ANISOTROPIC[name],
+                                tol=1e-10)
+        interior = spec.grid.interior_mask()
+        rng = np.random.default_rng(13)
+        inits = []
+        for _ in range(2):
+            vals = transfinite_init(spec.grid, spec.boundary).values[0].copy()
+            vals[interior] += rng.standard_normal(interior.sum())
+            inits.append(Field(spec.grid, vals))
+        separate = [minimize_energy(spec, init).field.values for init in inits]
+
+        builds, solved = [], []
+        solver_data = fracvar.dirichlet._solver_data
+        minimize = fracvar.dirichlet._minimize
+
+        def counting_data(*args):
+            builds.append(1)
+            return solver_data(*args)
+
+        def recording(*args):
+            result = minimize(*args)
+            solved.append(result.field.values)
+            return result
+        monkeypatch.setattr(fracvar.dirichlet, "_solver_data", counting_data)
+        monkeypatch.setattr(fracvar.dirichlet, "_minimize", recording)
+        diff = uniqueness_check(spec, *inits)
+        assert len(builds) == 1
+        assert len(solved) == 2
+        for got, want in zip(solved, separate):
+            np.testing.assert_array_equal(got, want)
+        assert diff == float(np.max(np.abs(separate[0] - separate[1])))

@@ -535,6 +535,38 @@ class TestMatrixFree:
                 assert all(a.size <= 2 * (n + 1) for a in _arrays(plan.shared))
         assert operators._shared_symbol.cache_info().currsize <= bound <= 16
 
+    @pytest.mark.parametrize("family", ["rl", "constant", "tabulated"])
+    def test_a_and_b_share_cell_moments(self, family, monkeypatch):
+        # A and B plans of order 0.3 read the kernel at effective order 0.7:
+        # one moment computation serves both symbols (and K of order 0.7),
+        # and each plan equals its cold build bitwise.
+        n = 40
+        g = make_uniform_grid(0.0, 1.0, n)
+        kernel = _family_kernel(family, OpKind.B, 0.3, n)
+        orders = {OpKind.A: 0.3, OpKind.B: 0.3, OpKind.K: 0.7}
+        cold = {}
+        for kind, order in orders.items():
+            operators._shared_symbol.cache_clear()
+            cold[kind] = make_plan(kind, order, RIGHT, kernel, g)
+        calls = []
+        moments = operators._cell_moments
+
+        def counting(*args):
+            calls.append(1)
+            return moments(*args)
+        monkeypatch.setattr(operators, "_cell_moments", counting)
+        operators._shared_symbol.cache_clear()
+        plans = {kind: make_plan(kind, order, RIGHT, kernel, g)
+                 for kind, order in orders.items()}
+        assert len(calls) == 1
+        assert plans[OpKind.A].shared is plans[OpKind.K].shared
+        assert plans[OpKind.B].shared is not plans[OpKind.A].shared
+        for kind, plan in plans.items():
+            assert np.array_equal(plan.symbol, cold[kind].symbol)
+            assert np.array_equal(plan.column0, cold[kind].column0)
+            assert plan.sign == cold[kind].sign
+            assert np.array_equal(plan.matrix, cold[kind].matrix)
+
     def test_threads_share_symbols(self):
         # Threads that build and apply the same operators on an empty cache,
         # switching often, all get the serial result bitwise.
@@ -611,6 +643,46 @@ class TestMatrixFree:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def _tensordot_along_axis(M, values, axis):
+    """The tensordot-and-moveaxis form of a matrix on every line along
+    axis (component axis 0 excluded)."""
+    return np.moveaxis(np.tensordot(M, values, axes=([1], [axis + 1])), 0,
+                       axis + 1)
+
+
+class TestApplyMatrixAlongAxis:
+    @pytest.mark.parametrize("shape", [(9,), (9, 12), (7, 10, 8)],
+                             ids=["1-axis", "2-axis", "3-axis"])
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    @pytest.mark.parametrize("sliced", [False, True],
+                             ids=["contiguous", "sliced"])
+    @pytest.mark.parametrize("form", ["M", "M.T", "rows"])
+    def test_matches_tensordot(self, shape, ncomp, sliced, form):
+        # One matmul on a (pre, n, post) view against tensordot: bitwise on
+        # the last axis and, for one component, on the first; elsewhere a
+        # batched product may round differently, within 4 eps.
+        rng = np.random.default_rng(len(shape) + 10 * ncomp)
+        if sliced:
+            big = rng.standard_normal((ncomp,) + tuple(2 * m for m in shape))
+            values = big[(slice(None),) + (slice(1, None, 2),) * len(shape)]
+        else:
+            values = rng.standard_normal((ncomp,) + shape)
+        assert values.flags.c_contiguous is not sliced
+        for axis, n in enumerate(shape):
+            square = rng.standard_normal((n, n))
+            M = {"M": square, "M.T": square.T,
+                 "rows": rng.standard_normal((n - 2, n))}[form]
+            got = operators.apply_matrix_along_axis(M, values, axis)
+            want = _tensordot_along_axis(M, values, axis)
+            assert got.shape == want.shape
+            if axis == len(shape) - 1 or (axis == 0 and ncomp == 1):
+                np.testing.assert_array_equal(got, want)
+            else:
+                eps = np.finfo(float).eps
+                assert (np.max(np.abs(got - want))
+                        <= 4.0 * eps * np.max(np.abs(want)))
 
 
 @settings(max_examples=60, deadline=None)
