@@ -10,7 +10,7 @@ residuals, Dirichlet-energy minimization, and Noether-identity verification.
 from .config import COMMANDS, ExperimentConfig, load_config
 from .dirichlet import (DirichletSpec, MinimizeResult, bvp_residual, energy,
                         minimize_energy, transfinite_init, uniqueness_check)
-from .exprs import FunctionExpr, parse_function
+from .exprs import parse_function
 from .ibp import (IbpReport, boundary_integral, check_K_duality, check_ibp,
                   volume_integral)
 from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
@@ -21,7 +21,7 @@ from .noether import (SymmetryGenerator, bracket_D, bracket_I,
                       chain_identity_residual, invariance_residual,
                       noether_residual)
 from .operators import (FracOpPlan, OpKind, adjoint_apply, apply_op_1d,
-                        apply_op_nd, dual_plan, frac_gradient, make_plan)
+                        apply_op_nd, make_plan)
 from .variational import (BUILTIN_LAGRANGIANS, Lagrangian, ProblemSpec,
                           dirichlet_energy_lagrangian, el_residual,
                           el_residual_mixed, evaluate_functional,
@@ -33,7 +33,7 @@ __all__ = [
     "constant_kernel", "dual", "grid_1d", "interior_max_abs", "kernel_eval",
     "make_uniform_grid", "rl_kernel", "tabulated_kernel",
     "FracOpPlan", "OpKind", "adjoint_apply", "apply_op_1d", "apply_op_nd",
-    "dual_plan", "frac_gradient", "make_plan",
+    "make_plan",
     "IbpReport", "boundary_integral", "check_K_duality", "check_ibp",
     "volume_integral",
     "BUILTIN_LAGRANGIANS", "Lagrangian", "ProblemSpec",
@@ -44,7 +44,7 @@ __all__ = [
     "minimize_energy", "transfinite_init", "uniqueness_check",
     "SymmetryGenerator", "bracket_D", "bracket_I", "chain_identity_residual",
     "invariance_residual", "noether_residual",
-    "FunctionExpr", "parse_function",
+    "parse_function",
     "COMMANDS", "ExperimentConfig", "load_config",
 ]
 

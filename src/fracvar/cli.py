@@ -40,7 +40,7 @@ from .variational import (ProblemSpec, el_residual, el_residual_mixed,
 
 def _expr_field(grid: GridND, fn: Callable) -> Field:
     vals = np.asarray(fn(grid.coords()), dtype=float)
-    return Field(grid, np.broadcast_to(vals, grid.shape).copy()[np.newaxis])
+    return Field(grid, np.broadcast_to(vals, grid.shape)[np.newaxis])
 
 
 def _random_smooth_field(grid: GridND, rng: np.random.Generator) -> Field:

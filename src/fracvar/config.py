@@ -19,7 +19,9 @@ size used when there is no sweep, an integer >= 4 like the sweep entries
 
 load_config resolves the document once, and resolving is the validation:
 _SCHEMAS lists the keys each command reads and what each resolves to, and a
-bad value raises ConfigError naming the key in ``field``.  The runner gets
+bad value raises ConfigError naming the key in ``field``.  Numbers must be
+finite (the NaN and Infinity literals that Python's json reads are
+rejected) and flags must be JSON true or false.  The runner gets
 the resolved Problem and adds only what depends on the grid.
 
 Tolerance keys refer to CSV columns: a bare column name bounds the last
@@ -71,18 +73,26 @@ class ExperimentConfig:
 
 
 def _number(value: Any) -> bool:
-    """A JSON number; JSON true and false are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number with a finite float value; JSON true and false are not
+    numbers.  1e999 reads as inf, and float() of an integer beyond the
+    float range raises OverflowError."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= float(np.finfo(float).max))
 
 
 def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reject_constant(token: str):
+    """json's parse_constant hook: JSON has no NaN or Infinity numbers."""
+    raise ConfigError(f"non-finite number {token} is not valid JSON")
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     except json.JSONDecodeError as exc:
@@ -190,7 +200,7 @@ def _psets(count: Optional[Callable] = None) -> Callable:
         for e in entries:
             if (not isinstance(e, list) or len(e) != 2
                     or not all(_number(v) for v in e)):
-                raise ConfigError("each p-set must be [p, q]", field="psets")
+                raise ConfigError("each p-set must be [p, q]", field=key)
         return [ParamSet(*problem.interval, float(p), float(q))
                 for p, q in entries]
     return resolve
@@ -211,7 +221,7 @@ def _orders(count: Optional[Callable] = None, optional: bool = False
     return resolve
 
 
-def _kernel(entry: Any) -> KernelSpec:
+def _kernel(entry: Any, key: str) -> KernelSpec:
     if entry == "rl":
         return rl_kernel()
     if entry == "constant":
@@ -222,14 +232,14 @@ def _kernel(entry: Any) -> KernelSpec:
                 and all(isinstance(row, list) and len(row) == 2
                         and all(_number(v) for v in row) for row in samples)):
             raise ConfigError("a tabulated kernel must be a list of [s, k] "
-                              "number pairs", field="kernels")
+                              "number pairs", field=key)
         try:
             return tabulated_kernel(np.asarray(samples, dtype=float))
         except (FracvarError, ValueError) as exc:
-            raise ConfigError(f"bad tabulated kernel: {exc}", field="kernels")
+            raise ConfigError(f"bad tabulated kernel: {exc}", field=key)
     raise ConfigError(
         f"kernel must be 'rl', 'constant', or {{'tabulated': [[s, k], ...]}}; "
-        f"got {entry!r}", field="kernels")
+        f"got {entry!r}", field=key)
 
 
 def _kernels(count: Optional[Callable] = None) -> Callable:
@@ -239,7 +249,7 @@ def _kernels(count: Optional[Callable] = None) -> Callable:
         if not isinstance(entries, list) or len(entries) != n:
             raise ConfigError(f"{key!r} must list one kernel per axis ({n})",
                               field=key)
-        return [_kernel(e) for e in entries]
+        return [_kernel(e, key) for e in entries]
     return resolve
 
 
@@ -267,7 +277,10 @@ def _identity(raw: dict, key: str, problem: Problem) -> str:
 
 
 def _flag(raw: dict, key: str, problem: Problem) -> bool:
-    return bool(raw.get(key, False))
+    flag = raw.get(key, False)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"{key!r} must be true or false", field=key)
+    return flag
 
 
 def _positive(default: float) -> Callable:

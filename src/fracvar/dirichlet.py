@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (DegenerateEnergy, FracvarError, GridMismatch,
-                     NoConvergence)
+from .errors import (DegenerateEnergy, DomainError, FracvarError,
+                     GridMismatch, NoConvergence)
 from .ibp import volume_integral
 from .model import Field, GridND, KernelSpec, ParamSet, same_grid
 from .operators import (OpKind, _adjoint_weighted, _apply_values,
@@ -78,6 +78,9 @@ class DirichletSpec:
         same_grid(self.boundary.grid, self.grid)
         if self.boundary.ncomp != 1:
             raise GridMismatch("the Dirichlet problem is scalar (N = 1)")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(
+                f"tol must be a positive finite number, got {self.tol}")
 
     def b_plans(self):
         return axis_plans(OpKind.B, self.alphas, self.psets, self.kernels,

@@ -19,7 +19,6 @@ zero, sqrt of a negative) raise EvalError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,13 +38,6 @@ _TOKEN_RE = re.compile(
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))")
-
-
-@dataclass(frozen=True)
-class FunctionExpr:
-    """An expression string in the config grammar."""
-
-    expression: str
 
 
 class _Parser:
@@ -194,16 +186,14 @@ def _div(a, b):
     return lambda env: a(env) / b(env)
 
 
-def parse_function(expr: FunctionExpr | str, arity: int,
-                   allow_u: bool = False) -> Callable:
-    """Compile an expression into ``fn(coords, u=None) -> ndarray``.
+def parse_function(text: str, arity: int, allow_u: bool = False) -> Callable:
+    """Compile an expression string into ``fn(coords, u=None) -> ndarray``.
 
     ``coords`` is a sequence of broadcastable coordinate arrays (one per
     axis, as produced by GridND.coords()); ``u`` is the field-value array
     when the expression uses it.  The result is broadcast over the grid.
     Non-finite values anywhere raise EvalError.
     """
-    text = expr.expression if isinstance(expr, FunctionExpr) else expr
     node = _Parser(text, arity, allow_u).parse()
 
     def evaluate(coords: Sequence[np.ndarray], u: Optional[np.ndarray] = None):

@@ -8,8 +8,10 @@ along a single axis:
                                       - int eta . A_{P*} f
 
 Both sides are discretized independently (the adjoint side uses operators
-built on the dual p-set, not matrix transposes), so the reported residual
-measures genuine quadrature error and must shrink under refinement.
+built by make_plan on the dual p-set, not matrix transposes), so the
+reported residual measures genuine quadrature error and must shrink under
+refinement.  Volume and face integrals use the tensor-product trapezoidal
+rule, contracted one axis at a time with each axis's 1D weights.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisError, DomainError
-from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec,
-                    ParamSet, dual, same_grid)
+from .model import (Field, Grid1D, KernelFamily, KernelSpec, ParamSet, dual,
+                    same_grid)
 from .operators import OpKind, apply_op_nd, make_plan
 
 
@@ -50,9 +52,18 @@ def _make_report(lhs: float, rhs: float, boundary_term: float, grid_n: int,
     return IbpReport(lhs, rhs, boundary_term, residual, rel, grid_n, unverified)
 
 
+def _trapezoid_sum(vals: np.ndarray, axes: tuple[Grid1D, ...]) -> float:
+    """Tensor-product trapezoidal rule of vals, one array axis per grid
+    axis, contracted one axis at a time from the last; no weight tensor is
+    formed.  On one axis this is sum(w * vals)."""
+    for ax in axes[:0:-1]:
+        vals = np.sum(vals * ax.trapezoid_weights(), axis=-1)
+    return float(np.sum(axes[0].trapezoid_weights() * vals))
+
+
 def volume_integral(f: Field) -> float:
     """Tensor-product trapezoidal rule over the whole rectangle."""
-    return float(np.sum(f.grid.trapezoid_weight_tensor() * f.data))
+    return _trapezoid_sum(f.data, f.grid.axes)
 
 
 def boundary_integral(g: Field, axis: int) -> float:
@@ -63,22 +74,11 @@ def boundary_integral(g: Field, axis: int) -> float:
     grid = g.grid
     if not (0 <= axis < grid.ndim):
         raise AxisError(f"axis {axis} out of range for a {grid.ndim}D grid")
-    vals = g.data
-    sl_hi = [slice(None)] * grid.ndim
-    sl_hi[axis] = -1
-    sl_lo = [slice(None)] * grid.ndim
-    sl_lo[axis] = 0
-    hi = vals[tuple(sl_hi)]
-    lo = vals[tuple(sl_lo)]
+    faces = np.moveaxis(g.data, axis, 0)
     if grid.ndim == 1:
-        return float(hi - lo)
-    w = None
-    for i, ax in enumerate(grid.axes):
-        if i == axis:
-            continue
-        wi = ax.trapezoid_weights()
-        w = wi if w is None else np.multiply.outer(w, wi)
-    return float(np.sum(w * hi) - np.sum(w * lo))
+        return float(faces[-1] - faces[0])
+    others = grid.axes[:axis] + grid.axes[axis + 1:]
+    return _trapezoid_sum(faces[-1], others) - _trapezoid_sum(faces[0], others)
 
 
 def _common_checks(f: Field, eta: Field, axis: int) -> Grid1D:

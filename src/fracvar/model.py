@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -207,14 +207,6 @@ class GridND:
         return list(np.meshgrid(*(ax.nodes for ax in self.axes),
                                 indexing="ij", sparse=True))
 
-    def trapezoid_weight_tensor(self) -> np.ndarray:
-        """Tensor-product trapezoid weights over all nodes."""
-        w = self.axes[0].trapezoid_weights()
-        out = w
-        for ax in self.axes[1:]:
-            out = np.multiply.outer(out, ax.trapezoid_weights())
-        return out
-
     def interior_mask(self) -> np.ndarray:
         """Boolean mask, True at interior nodes (all coordinates strictly inside)."""
         mask = np.ones(self.shape, dtype=bool)
@@ -300,5 +292,5 @@ def same_grid(x: GridND, y: GridND) -> None:
 
 def interior_max_abs(f: Field) -> float:
     """Max |value| over interior nodes, all components."""
-    mask = f.grid.interior_mask()
-    return float(np.max(np.abs(f.values[:, mask])))
+    interior = (slice(None),) + (slice(1, -1),) * f.grid.ndim
+    return float(np.max(np.abs(f.values[interior])))

@@ -51,8 +51,7 @@ class SymmetryGenerator:
     def sample(self, spec: ProblemSpec, u: Field) -> Field:
         vals = np.asarray(self.xi(spec.grid.coords(), u.values), dtype=float)
         target = (u.ncomp,) + spec.grid.shape
-        vals = np.ascontiguousarray(np.broadcast_to(vals, target))
-        field = Field(spec.grid, vals)
+        field = Field(spec.grid, np.broadcast_to(vals, target))
         _smoothness_screen(field, self.description)
         return field
 

@@ -21,7 +21,7 @@ symbol with a first-column correction, and R is L flipped on both axes
 (negated for B).  The symbol, correction column and sign depend only on the
 quadrature family (K-type for K and A, L1 for B), the kernel and the grid,
 so every plan of one quadrature shares one read-only copy: K and A plans of
-one effective order, dual plans and every p-set.  Both families read the
+one effective order, and plans on every p-set, its dual included.  Both families read the
 same cell moments, so one entry of a bounded cache (``_shared_symbol``)
 holds both symbols of a kernel on a grid, from one moment computation; the
 16 most recently used entries are kept, each O(n).
@@ -41,7 +41,9 @@ solver's Gram matrices.  A's derivative is a 3-point stencil, never a dense
 matrix.
 
 Partial operators on multidimensional grids act along one axis with every
-other coordinate frozen, line by line.
+other coordinate frozen, line by line.  The fractional gradient is one plan
+per axis (``axis_plans``), and a starred operator is ``make_plan`` on the
+dual p-set (``model.dual``) or, for the exact transpose, ``adjoint_apply``.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AxisError, DomainError, GridMismatch, LengthMismatch,
-                     OrderError, RangeError)
-from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
-                    dual)
+from .errors import (AxisError, DomainError, GridMismatch, OrderError,
+                     RangeError)
+from .model import Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS01_X = 0.5 * (_GAUSS_X + 1.0)   # nodes on (0, 1)
@@ -431,18 +432,6 @@ def apply_op_1d(plan: FracOpPlan, f: Field) -> Field:
     return apply_op_nd(plan, f)
 
 
-def frac_gradient(f: Field, kind: OpKind, psets, orders, kernels) -> list[Field]:
-    """Generalized fractional gradient: entry i holds the axis-i partial
-    operator applied to every component of f."""
-    d = f.grid.ndim
-    if not (len(psets) == len(orders) == len(kernels) == d):
-        raise LengthMismatch(
-            f"need {d} p-sets/orders/kernels, got "
-            f"{len(psets)}/{len(orders)}/{len(kernels)}")
-    return [apply_op_nd(plan, f)
-            for plan in axis_plans(kind, orders, psets, kernels, f.grid)]
-
-
 def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     """Apply the exact transpose of the plan's operator in the trapezoid
     inner product along plan.axis: g -> (+/-) w^-1 M^T (w g), with M the
@@ -460,8 +449,3 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     return Field(f.grid, _adjoint_weighted(plan, f.values * wb, wb, negate),
                  flagged_boundary=f.flagged_boundary)
 
-
-def dual_plan(plan: FracOpPlan) -> FracOpPlan:
-    """The same operator built on the dual p-set (p and q swapped)."""
-    return make_plan(plan.kind, plan.order, dual(plan.pset), plan.kernel,
-                     plan.grid, plan.axis)

@@ -23,7 +23,7 @@ built directly on the dual p-set (so the bracket antisymmetry is exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,11 +159,6 @@ class ProblemSpec:
         return axis_plans(OpKind.K, self.betas, self.psets2,
                           self.kernels_beta, self.grid)
 
-    def k_dual_plans(self):
-        return axis_plans(OpKind.K, self.betas,
-                          [dual(ps) for ps in self.psets2],
-                          self.kernels_beta, self.grid)
-
 
 def check_admissible(spec, u: Field) -> None:
     """Raise unless u lives on spec.grid with spec.ncomp components and its
@@ -235,7 +230,11 @@ def el_residual(spec: ProblemSpec, u: Field) -> Field:
     dv = lag.d_v(t, uu, v, w)
     dw = lag.d_w(t, uu, v, w)
     del v, w   # the adjoint loop reads only the partials
-    for i, (bp, kdp) in enumerate(zip(spec.b_plans(), spec.k_dual_plans())):
+    b_plans = spec.b_plans()
+    k_duals = axis_plans(OpKind.K, spec.betas,
+                         [dual(ps) for ps in spec.psets2], spec.kernels_beta,
+                         spec.grid)
+    for i, (bp, kdp) in enumerate(zip(b_plans, k_duals)):
         res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
         res += apply_op_nd(kdp, Field(spec.grid, dw[:, i])).values
     return Field(spec.grid, res, flagged_boundary=True)

@@ -1,6 +1,7 @@
 """Schema validation for experiment configuration files."""
 
 import json
+import math
 
 import pytest
 
@@ -116,6 +117,34 @@ class TestRootSchema:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_literals_rejected(self, tmp_path, value):
+        # json.dumps writes NaN, Infinity and -Infinity, which Python's json
+        # reads back but strict JSON does not have.
+        payload = base_dirichlet()
+        payload["problem"]["tol"] = value
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(write(tmp_path, payload))
+
+    def test_non_finite_tolerance_bound_rejected(self, tmp_path):
+        payload = base_dirichlet()
+        payload["tolerances"] = {"bvp_residual": math.nan}
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(write(tmp_path, payload))
+
+    @pytest.mark.parametrize("key, text", [
+        ("tol", "1e999"), ("interval", "[0, 1e999]"),
+        ("interval", "[0, 1" + "0" * 400 + "]")])
+    def test_overflowing_numbers_rejected(self, tmp_path, key, text):
+        # Valid JSON numbers without a finite float value: 1e999 reads as
+        # inf, and float() of a 401-digit integer raises OverflowError.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_dirichlet()).replace(
+            '"alphas"', f'"{key}": {text}, "alphas"'), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.field == key
 
     def test_root_must_be_object(self, tmp_path):
         path = tmp_path / "arr.json"
@@ -308,6 +337,35 @@ class TestPerCommand:
         del payload["problem"]["psets2"]
         with pytest.raises(ConfigError, match="psets2"):
             load_config(write(tmp_path, payload))
+
+    @pytest.mark.parametrize("mixed", [True, False])
+    def test_el_mixed_flag(self, tmp_path, mixed):
+        payload = base_el()
+        payload["problem"]["mixed"] = mixed
+        assert load_config(write(tmp_path, payload)).problem.mixed is mixed
+
+    @pytest.mark.parametrize("mixed", ["false", "true", 1, 0, None])
+    def test_el_mixed_must_be_a_json_boolean(self, tmp_path, mixed):
+        # bool("false") is True: a string flag would select the mixed
+        # residual silently.
+        payload = base_el()
+        payload["problem"]["mixed"] = mixed
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "mixed"
+
+    @pytest.mark.parametrize("key, value", [
+        ("psets1", [[0.6]]),
+        ("psets2", [["p", 0.4]]),
+        ("kernels_alpha", [{"tabulated": [[0.5, 1.0]]}]),
+        ("kernels_beta", ["gauss"]),
+    ])
+    def test_bad_entry_names_its_key(self, tmp_path, key, value):
+        payload = base_el()
+        payload["problem"][key] = value
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == key
 
     def test_unknown_lagrangian_lists_builtins(self, tmp_path):
         payload = base_el()

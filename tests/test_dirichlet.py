@@ -1,5 +1,8 @@
 """Dirichlet energy minimization: CG solver, principle, uniqueness."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      constant_kernel, energy, grid_1d, interior_max_abs,
                      make_uniform_grid, minimize_energy, rl_kernel,
                      tabulated_kernel, transfinite_init, uniqueness_check)
-from fracvar.errors import (BoundaryViolation, DegenerateEnergy, GridMismatch,
-                            NoConvergence)
+from fracvar.errors import (BoundaryViolation, DegenerateEnergy, DomainError,
+                            GridMismatch, NoConvergence)
 from fracvar.operators import (adjoint_apply, apply_matrix_along_axis,
                                apply_op_nd, toeplitz_along_axis)
 
@@ -31,12 +34,18 @@ def spec_2d(n, psi_fn, alpha=0.5, **kw):
                          [rl_kernel(), rl_kernel()], psi, **kw)
 
 
+def weight_tensor(grid):
+    """The tensor-product trapezoid weights over all nodes."""
+    return functools.reduce(np.multiply.outer,
+                            [ax.trapezoid_weights() for ax in grid.axes])
+
+
 def interior_system(spec):
     """The interior Hessian and right-hand side of the discrete energy,
     assembled column by column from the full-grid gradient
     2 sum_i M_i^T omega M_i u."""
     grid = spec.grid
-    omega = grid.trapezoid_weight_tensor()
+    omega = weight_tensor(grid)
     interior = grid.interior_mask()
     mats = [np.asarray(bp.matrix) for bp in spec.b_plans()]
 
@@ -69,6 +78,12 @@ class TestSpecValidation:
         psi = Field.constant(grid, 0.0, ncomp=2)
         with pytest.raises(GridMismatch):
             DirichletSpec(grid, [SYM], [0.5], [rl_kernel()], psi)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # A NaN or infinite tol stopped CG before its first iteration.
+        with pytest.raises(DomainError, match="tol"):
+            spec_1d(8, lambda t: t, tol=tol)
 
     def test_init_boundary_enforced(self):
         spec = spec_1d(16, lambda t: t)
@@ -354,7 +369,7 @@ class TestFastDiagonalization:
         spec = anisotropic_spec(axes)
         grid, plans = spec.grid, spec.b_plans()
         u = np.random.default_rng(5).standard_normal(grid.shape)
-        omega = grid.trapezoid_weight_tensor()
+        omega = weight_tensor(grid)
         full = np.zeros(grid.shape)
         for bp in plans:
             mu = toeplitz_along_axis(bp, u[np.newaxis])[0]

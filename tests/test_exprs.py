@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracvar import FunctionExpr, parse_function
+from fracvar import parse_function
 from fracvar.errors import ArityError, EvalError, ParseError
 
 
@@ -106,10 +106,6 @@ class TestEvaluation:
             ev("1/(t1 - t1)", 1, [np.array(0.5)])
         with pytest.raises(EvalError):
             ev("sqrt(0 - t1)", 1, [np.array(1.0)])
-
-    def test_accepts_expression_object(self):
-        fn = parse_function(FunctionExpr("2*t1"), 1)
-        assert fn([np.array(0.5)]) == 1.0
 
     def test_fractional_exponent(self):
         assert ev("4^0.5") == 2.0

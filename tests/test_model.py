@@ -145,11 +145,6 @@ class TestGrids:
         assert mask.sum() == 1
         assert mask[1, 1]
 
-    def test_weight_tensor_integrates_one(self):
-        grid = GridND((make_uniform_grid(0.0, 1.0, 5),
-                       make_uniform_grid(0.0, 3.0, 6)))
-        assert grid.trapezoid_weight_tensor().sum() == pytest.approx(3.0)
-
 
 class TestField:
     def test_shape_checks(self):

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from fracvar import (Field, GridND, OpKind, ParamSet, adjoint_apply,
                      apply_op_1d, apply_op_nd, constant_kernel, dual,
-                     dual_plan, frac_gradient, grid_1d, interior_max_abs,
-                     make_plan, make_uniform_grid, rl_kernel,
-                     tabulated_kernel)
-from fracvar.errors import (AxisError, DomainError, GridMismatch,
-                            LengthMismatch, OrderError, RangeError)
+                     grid_1d, interior_max_abs, make_plan, make_uniform_grid,
+                     rl_kernel, tabulated_kernel)
+from fracvar.errors import (AxisError, DomainError, GridMismatch, OrderError,
+                            RangeError)
 from fracvar.ibp import volume_integral
 from fracvar import operators
 from fracvar.model import MAX_CELLS_PER_AXIS
@@ -101,14 +100,6 @@ class TestPlanConstruction:
         assert plan == plan
         assert plan != make_plan(OpKind.K, 0.5, LEFT, rl_kernel(), g)
         assert {plan, plan} == {plan}
-
-    def test_dual_plan_is_involution(self):
-        g = make_uniform_grid(0.0, 1.0, 8)
-        plan = make_plan(OpKind.K, 0.5, ParamSet(0.0, 1.0, 0.3, 0.7),
-                         rl_kernel(), g)
-        back = dual_plan(dual_plan(plan))
-        assert back.pset == plan.pset
-        assert np.array_equal(back.matrix, plan.matrix)
 
 
 class TestClosedForms:
@@ -235,21 +226,6 @@ class TestPartialOperators:
                          make_uniform_grid(0.0, 1.0, 8))
         with pytest.raises(GridMismatch):
             apply_op_nd(plan, Field.constant(grid_1d(0.0, 1.0, 16), 1.0))
-
-    def test_frac_gradient(self):
-        grid = GridND((make_uniform_grid(0.0, 1.0, 10),
-                       make_uniform_grid(0.0, 1.0, 14)))
-        f = Field.from_function(grid, lambda t1, t2: t1 * t1 + t2)
-        psets = [LEFT, ParamSet(0.0, 1.0, 0.5, 0.5)]
-        grads = frac_gradient(f, OpKind.K, psets, [0.5, 0.7],
-                              [rl_kernel(), rl_kernel()])
-        assert len(grads) == 2
-        for i, g in enumerate(grads):
-            plan = make_plan(OpKind.K, [0.5, 0.7][i], psets[i], rl_kernel(),
-                             grid.axes[i], axis=i)
-            np.testing.assert_array_equal(g.values, apply_op_nd(plan, f).values)
-        with pytest.raises(LengthMismatch):
-            frac_gradient(f, OpKind.K, psets, [0.5], [rl_kernel()] * 2)
 
 
 class TestTabulatedKernels:
