@@ -46,18 +46,18 @@ import numpy as np
 from .errors import (DegenerateEnergy, DomainError, FracvarError,
                      GridMismatch, NoConvergence)
 from .ibp import volume_integral
-from .model import Field, GridND, KernelSpec, ParamSet, same_grid
+from .model import (Field, GridND, KernelSpec, ParamSet, check_admissible,
+                    check_field)
 from .operators import (OpKind, _adjoint_weighted, _apply_values,
                         _matmul_along, _weights_along, apply_matrix_along_axis,
                         apply_op_nd, axis_plans)
-from .variational import check_admissible
 
 
 @dataclass(frozen=True)
 class DirichletSpec:
     """Problem data: grid, per-axis (pset, alpha, kernel), boundary trace
     psi (scalar field; only its boundary nodes are read), solver tolerance
-    and iteration cap."""
+    and iteration cap (None for the default, 10 per interior node)."""
 
     grid: GridND
     psets: tuple[ParamSet, ...]
@@ -75,12 +75,16 @@ class DirichletSpec:
             object.__setattr__(self, nm, val)
             if len(val) != d:
                 raise GridMismatch(f"{nm} must have length {d}, got {len(val)}")
-        same_grid(self.boundary.grid, self.grid)
-        if self.boundary.ncomp != 1:
-            raise GridMismatch("the Dirichlet problem is scalar (N = 1)")
+        check_field(self.boundary, self.grid, 1)
         if not 0.0 < self.tol < math.inf:
             raise DomainError(
                 f"tol must be a positive finite number, got {self.tol}")
+        m = self.max_iter
+        if m is not None and (isinstance(m, bool)
+                              or not isinstance(m, (int, np.integer))
+                              or m < 0):
+            raise DomainError(
+                f"max_iter must be None or an integer >= 0, got {m!r}")
 
     def b_plans(self):
         return axis_plans(OpKind.B, self.alphas, self.psets, self.kernels,
@@ -109,9 +113,7 @@ def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
     solution.  The sum runs on arrays, each term weighted in place and
     subtracted from 0: x - y rounds as x + (-y), signed zeros included, so
     the sum is bitwise that of the negated terms of ``adjoint_apply``."""
-    same_grid(u.grid, spec.grid)
-    if u.ncomp != 1:
-        raise GridMismatch("the Dirichlet problem is scalar (N = 1)")
+    check_field(u, spec.grid, 1)
     out = None
     for bp in spec.b_plans():
         wb = _weights_along(bp, u.values.ndim)
@@ -122,7 +124,7 @@ def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
             out = np.subtract(0.0, term, out=term)
         else:
             out -= term
-    return Field(spec.grid, out, flagged_boundary=True)
+    return Field(spec.grid, out)
 
 
 def transfinite_init(grid: GridND, psi: Field) -> Field:
@@ -133,9 +135,7 @@ def transfinite_init(grid: GridND, psi: Field) -> Field:
     the ends of each axis, so I - P_i vanishes exactly on the faces of axis
     i and boundary nodes keep psi bitwise.  psi must be a scalar field on
     grid (GridMismatch otherwise)."""
-    same_grid(psi.grid, grid)
-    if psi.ncomp != 1:
-        raise GridMismatch("the boundary data must be a scalar field (N = 1)")
+    check_field(psi, grid, 1)
     vals = psi.values[0]
     d = grid.ndim
     coefs = []   # (1 - t, t) per axis, shaped to broadcast along it

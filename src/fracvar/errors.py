@@ -20,7 +20,9 @@ class OrderError(FracvarError):
 
 
 class GridMismatch(FracvarError):
-    """Two objects that must share a grid were built on different grids."""
+    """An object does not fit the grid it must share: a field on another grid
+    or with the wrong component count, or a Lagrangian output of the wrong
+    shape."""
 
 
 class AxisError(FracvarError):

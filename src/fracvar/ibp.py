@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisError, DomainError
-from .model import (Field, Grid1D, KernelFamily, KernelSpec, ParamSet, dual,
-                    same_grid)
+from .errors import DomainError
+from .model import (Field, Grid1D, KernelFamily, KernelSpec, ParamSet,
+                    check_axis, check_field, dual)
 from .operators import OpKind, apply_op_nd, make_plan
 
 
@@ -72,8 +72,7 @@ def boundary_integral(g: Field, axis: int) -> float:
     component of the outward normal along ``axis``).  For a 1D grid this is
     g(b) - g(a)."""
     grid = g.grid
-    if not (0 <= axis < grid.ndim):
-        raise AxisError(f"axis {axis} out of range for a {grid.ndim}D grid")
+    check_axis(grid, axis)
     faces = np.moveaxis(g.data, axis, 0)
     if grid.ndim == 1:
         return float(faces[-1] - faces[0])
@@ -82,11 +81,10 @@ def boundary_integral(g: Field, axis: int) -> float:
 
 
 def _common_checks(f: Field, eta: Field, axis: int) -> Grid1D:
-    same_grid(f.grid, eta.grid)
+    check_field(eta, f.grid)
     if f.ncomp != 1 or eta.ncomp != 1:
         raise DomainError("identity checks take single-component fields")
-    if not (0 <= axis < f.grid.ndim):
-        raise AxisError(f"axis {axis} out of range for a {f.grid.ndim}D grid")
+    check_axis(f.grid, axis)
     return f.grid.axes[axis]
 
 

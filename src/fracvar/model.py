@@ -1,4 +1,5 @@
-"""Shared data model: parameter sets, kernels, grids, and sampled fields.
+"""Shared data model: parameter sets, kernels, grids, sampled fields, and
+the admissibility checks every entry point runs on them.
 
 A generalized fractional operator is parametrized by a *parameter set*
 (p-set) weighting its left and right kernel integrals, and by a difference
@@ -15,12 +16,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, RangeError
+from .errors import (AxisError, BoundaryViolation, DomainError, GridMismatch,
+                     RangeError)
 
 #: Hard cap on cells per axis.  Plans are O(n), but the power-kernel cell
 #: moments lose precision to cancellation as n grows (relative error about
 #: 2e-8 at n = 4096 for kernel order 0.1).
 MAX_CELLS_PER_AXIS = 4096
+
+#: Largest boundary-trace deviation an admissible field may show.
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,8 @@ def constant_kernel() -> KernelSpec:
     return KernelSpec(KernelFamily.CONSTANT)
 
 
-def tabulated_kernel(samples: np.ndarray, order: Optional[float] = None) -> KernelSpec:
-    return KernelSpec(KernelFamily.TABULATED, order, np.asarray(samples, dtype=float))
+def tabulated_kernel(samples: np.ndarray) -> KernelSpec:
+    return KernelSpec(KernelFamily.TABULATED, None, np.asarray(samples, dtype=float))
 
 
 def kernel_eval(k: KernelSpec, s) -> float | np.ndarray:
@@ -228,14 +233,11 @@ def grid_1d(a: float, b: float, n: int) -> GridND:
 class Field:
     """N-component function sampled on every node of a GridND.
 
-    ``values`` has shape (N, m_1+1, ..., m_d+1).  ``flagged_boundary`` marks
-    fields whose boundary nodes hold continuous-extension values of a
-    formula that is genuinely singular there; accuracy claims exclude them.
+    ``values`` has shape (N, m_1+1, ..., m_d+1).
     """
 
     grid: GridND
     values: np.ndarray
-    flagged_boundary: bool = False
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -282,12 +284,38 @@ class Field:
         return Field(grid, np.full((ncomp,) + grid.shape, float(value)))
 
 
-def same_grid(x: GridND, y: GridND) -> None:
-    """Raise GridMismatch unless two grids are identical."""
-    if x.ndim != y.ndim or any(
-            (ax.a != bx.a or ax.b != bx.b or ax.n != bx.n)
-            for ax, bx in zip(x.axes, y.axes)):
+def check_field(f: Field, grid: GridND, ncomp: Optional[int] = None) -> None:
+    """Raise GridMismatch unless f lives on grid (with ncomp components,
+    when given)."""
+    if f.grid != grid:
         raise GridMismatch("fields live on different grids")
+    if ncomp is not None and f.ncomp != ncomp:
+        raise GridMismatch(f"field has {f.ncomp} components, expected {ncomp}")
+
+
+def check_axis(grid: GridND, axis: int) -> None:
+    """Raise AxisError unless axis indexes an axis of grid."""
+    if not 0 <= axis < grid.ndim:
+        raise AxisError(f"axis {axis} out of range for a {grid.ndim}D grid")
+
+
+def check_admissible(spec, u: Field) -> None:
+    """Raise unless u is admissible for spec, a ProblemSpec or a
+    DirichletSpec: it lives on spec.grid with spec.ncomp components
+    (GridMismatch) and its boundary trace equals spec.boundary when the spec
+    has one (BoundaryViolation)."""
+    check_field(u, spec.grid, spec.ncomp)
+    if spec.boundary is None:
+        return
+    # The boundary is the union of the two end faces of every axis; a step
+    # of n picks nodes 0 and n of the axis as one view.
+    diff = np.max([
+        np.max(np.abs(u.values[sl] - spec.boundary.values[sl]))
+        for sl in ((slice(None),) * (i + 1) + (slice(None, None, ax.n),)
+                   for i, ax in enumerate(spec.grid.axes))])
+    if diff > _BOUNDARY_TOL:
+        raise BoundaryViolation(f"boundary trace differs from psi by "
+                                f"{diff:.3e} (> {_BOUNDARY_TOL})")
 
 
 def interior_max_abs(f: Field) -> float:

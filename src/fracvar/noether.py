@@ -29,10 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch
-from .model import Field, KernelSpec, ParamSet, dual, same_grid
+from .errors import DomainError
+from .model import (Field, KernelSpec, ParamSet, check_admissible, check_axis,
+                    check_field, dual)
 from .operators import OpKind, adjoint_apply, apply_op_nd, make_plan
-from .variational import ProblemSpec, _blocks, check_admissible, el_residual
+from .variational import ProblemSpec, _blocks, _partials, el_residual
 
 
 @dataclass(frozen=True)
@@ -81,39 +82,33 @@ def invariance_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> 
 
 
 def _invariance(spec: ProblemSpec, u: Field, xi: Field) -> Field:
-    t, uu, v, w = _blocks(spec, u)
-    lag = spec.lagrangian
-    du = np.broadcast_to(lag.d_u(t, uu, v, w), (lag.N,) + spec.grid.shape)
-    dv = lag.d_v(t, uu, v, w)
-    dw = lag.d_w(t, uu, v, w)
+    du, dv, dw = _partials(spec.lagrangian, _blocks(spec, u))
     res = np.sum(du * xi.values, axis=0)
     for i, (bp, kp) in enumerate(zip(spec.b_plans(), spec.k_plans())):
         bxi = apply_op_nd(bp, xi).values
         kxi = apply_op_nd(kp, xi).values
         res += np.sum(dv[:, i] * bxi + dw[:, i] * kxi, axis=0)
-    return Field(spec.grid, res[np.newaxis], flagged_boundary=True)
+    return Field(spec.grid, res[np.newaxis])
 
 
 def bracket_D(f: Field, g: Field, pset: ParamSet, order: float,
               kernel: KernelSpec, axis: int) -> Field:
     """D[f, g] = f . A_{P*} g + g . B_P f along one axis (A_{P*} realized
     as the exact transpose of the B_P matrix)."""
-    same_grid(f.grid, g.grid)
-    if f.ncomp != g.ncomp:
-        raise GridMismatch("bracket arguments need matching components")
+    check_field(g, f.grid, f.ncomp)
+    check_axis(f.grid, axis)
     bp = make_plan(OpKind.B, order, pset, kernel, f.grid.axes[axis], axis=axis)
     ag = adjoint_apply(bp, g, negate=True).values
     bf = apply_op_nd(bp, f).values
-    return Field(f.grid, f.values * ag + g.values * bf, flagged_boundary=True)
+    return Field(f.grid, f.values * ag + g.values * bf)
 
 
 def bracket_I(f: Field, g: Field, pset: ParamSet, order: float,
               kernel: KernelSpec, axis: int) -> Field:
     """I[f, g] = -f . K_{P*} g + g . K_P f along one axis (K_{P*} built
     directly on the dual p-set, so I[f,g,P] = -I[g,f,P*] exactly)."""
-    same_grid(f.grid, g.grid)
-    if f.ncomp != g.ncomp:
-        raise GridMismatch("bracket arguments need matching components")
+    check_field(g, f.grid, f.ncomp)
+    check_axis(f.grid, axis)
     kp = make_plan(OpKind.K, order, pset, kernel, f.grid.axes[axis], axis=axis)
     kp_dual = make_plan(OpKind.K, order, dual(pset), kernel, f.grid.axes[axis],
                         axis=axis)
@@ -131,10 +126,7 @@ def noether_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> Fie
 
 
 def _noether(spec: ProblemSpec, u: Field, xi: Field) -> Field:
-    t, uu, v, w = _blocks(spec, u)
-    lag = spec.lagrangian
-    dv = lag.d_v(t, uu, v, w)
-    dw = lag.d_w(t, uu, v, w)
+    _, dv, dw = _partials(spec.lagrangian, _blocks(spec, u), with_du=False)
     res = np.zeros(spec.grid.shape)
     for i in range(spec.grid.ndim):
         bd = bracket_D(xi, Field(spec.grid, dv[:, i]), spec.psets1[i],
@@ -142,7 +134,7 @@ def _noether(spec: ProblemSpec, u: Field, xi: Field) -> Field:
         bi = bracket_I(xi, Field(spec.grid, dw[:, i]), spec.psets2[i],
                        spec.betas[i], spec.kernels_beta[i], i)
         res += np.sum(bd.values + bi.values, axis=0)
-    return Field(spec.grid, res[np.newaxis], flagged_boundary=True)
+    return Field(spec.grid, res[np.newaxis])
 
 
 def chain_identity_residual(spec: ProblemSpec, u: Field,
@@ -151,8 +143,8 @@ def chain_identity_residual(spec: ProblemSpec, u: Field,
     noether = invariance - sum_k xi_k . el_k; floating-point small for any
     u because all three terms share the same operator realizations and the
     same generator sample."""
-    xi = gen.sample(spec, u)
     check_admissible(spec, u)
+    xi = gen.sample(spec, u)
     noe = _noether(spec, u, xi).data
     inv = _invariance(spec, u, xi).data
     el = el_residual(spec, u).values

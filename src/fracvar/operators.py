@@ -57,7 +57,8 @@ import numpy as np
 
 from .errors import (AxisError, DomainError, GridMismatch, OrderError,
                      RangeError)
-from .model import Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet
+from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
+                    check_axis)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS01_X = 0.5 * (_GAUSS_X + 1.0)   # nodes on (0, 1)
@@ -199,11 +200,10 @@ def _shared_symbol(family: KernelFamily, order: float | None,
 @dataclass(frozen=True, eq=False)
 class FracOpPlan:
     """A compiled partial operator: kind, order, p-set, kernel, axis, grid
-    and the O(n) quadrature data of its weights p*L + q*R (see ``_Symbol``):
-    the Toeplitz ``symbol``, the first-cell correction ``column0`` and the
-    ``sign`` of R, all views of the ``shared`` symbol.  For K and B the
-    weights are the operator; for A they are the inner K^(1-alpha) weights,
-    and the derivative is applied as a stencil after them.
+    and the ``shared`` O(n) quadrature data of its weights p*L + q*R (see
+    ``_Symbol``).  For K and B the weights are the operator; for A they are
+    the inner K^(1-alpha) weights, and the derivative is applied as a
+    stencil after them.
 
     ``matrix`` is the dense (n+1)^2 weight matrix, built on first read and
     then cached on the plan; applies read it only for batches of at least
@@ -216,21 +216,19 @@ class FracOpPlan:
     kernel: KernelSpec
     axis: int
     grid: Grid1D
-    symbol: np.ndarray
-    column0: np.ndarray
-    sign: float
     shared: _Symbol
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """The read-only dense p*L + q*R."""
-        m = self.symbol.size
+        sym = self.shared
+        m = sym.symbol.size
         window = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([np.zeros(m - 1), self.symbol]), m)
+            np.concatenate([np.zeros(m - 1), sym.symbol]), m)
         L = window[:, ::-1].copy()                  # L[i, j] = symbol[i - j]
-        L[1:, 0] = self.column0
+        L[1:, 0] = sym.column0
         L[0] = 0.0
-        R = L[::-1, ::-1] * (self.sign * self.pset.q)
+        R = L[::-1, ::-1] * (sym.sign * self.pset.q)
         L *= self.pset.p
         L += R
         L.setflags(write=False)
@@ -246,9 +244,10 @@ class FracOpPlan:
         Columns 0 and n aside, and rows 0 and n in the transpose, every used
         entry has |i - j| <= n - 1, so the power-of-two size >= 2n - 1 wraps
         none of them onto another."""
-        c, col0 = self.symbol, self.column0
-        p, sq = self.pset.p, self.sign * self.pset.q
-        size, S = self.shared.spectrum
+        sym = self.shared
+        c, col0 = sym.symbol, sym.column0
+        p, sq = self.pset.p, sym.sign * self.pset.q
+        size, S = sym.spectrum
         first = np.concatenate([[sq * c[0]], p * col0])
         last = np.concatenate([sq * col0[::-1], [p * c[0]]])
         return size, p * S + sq * S.conj(), first, last
@@ -292,8 +291,7 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
         kernel.order if kernel.family is KernelFamily.RIEMANN_LIOUVILLE else None,
         None if kernel.samples is None else kernel.samples.tobytes(), grid)
     shared = l1 if kind is OpKind.B else k_type
-    return FracOpPlan(kind, order, pset, kernel, axis, grid, shared.symbol,
-                      shared.column0, shared.sign, shared)
+    return FracOpPlan(kind, order, pset, kernel, axis, grid, shared)
 
 
 def axis_plans(kind: OpKind, orders, psets, kernels, grid: GridND
@@ -362,12 +360,8 @@ def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
 
 
 def _check_plan_grid(plan: FracOpPlan, f: Field) -> None:
-    if plan.axis >= f.grid.ndim:
-        raise AxisError(
-            f"plan acts along axis {plan.axis} but the grid has "
-            f"{f.grid.ndim} axes")
-    ax = f.grid.axes[plan.axis]
-    if (ax.a, ax.b, ax.n) != (plan.grid.a, plan.grid.b, plan.grid.n):
+    check_axis(f.grid, plan.axis)
+    if f.grid.axes[plan.axis] != plan.grid:
         raise GridMismatch(
             f"plan grid ({plan.grid.a}, {plan.grid.b}, n={plan.grid.n}) does "
             f"not match field axis {plan.axis}")
@@ -417,10 +411,7 @@ def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
     ``toeplitz_along_axis`` as K, so its samples coincide bitwise with the
     stencil derivative of the K^(1-alpha) samples."""
     _check_plan_grid(plan, f)
-    flagged = (plan.kind is OpKind.A
-               and plan.kernel.family is KernelFamily.RIEMANN_LIOUVILLE)
-    return Field(f.grid, _apply_values(plan, f.values),
-                 flagged_boundary=flagged)
+    return Field(f.grid, _apply_values(plan, f.values))
 
 
 def apply_op_1d(plan: FracOpPlan, f: Field) -> Field:
@@ -446,6 +437,5 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     """
     _check_plan_grid(plan, f)
     wb = _weights_along(plan, f.values.ndim)
-    return Field(f.grid, _adjoint_weighted(plan, f.values * wb, wb, negate),
-                 flagged_boundary=f.flagged_boundary)
+    return Field(f.grid, _adjoint_weighted(plan, f.values * wb, wb, negate))
 

@@ -28,11 +28,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BoundaryViolation, DomainError, GradientCheckError,
-                     GridMismatch, LengthMismatch)
+from .errors import (DomainError, GradientCheckError, GridMismatch,
+                     LengthMismatch)
 from .ibp import volume_integral
-from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet, dual,
-                    same_grid)
+from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet,
+                    check_admissible, check_field, dual)
 from .operators import (OpKind, adjoint_apply, apply_op_nd, axis_plans,
                         derivative_along_axis, make_plan)
 
@@ -40,7 +40,6 @@ _CHECK_RNG_SEED = 1729
 _CHECK_POINTS = 7
 _FD_STEP = 1e-5
 _GRAD_RTOL = 1e-6
-_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,12 @@ class Lagrangian:
     """F(t, u, v, w) with its first partials, all vectorized over nodes.
 
     Callback contract (shape = grid node shape):
-      eval_fn(t, u, v, w) -> array of shape  (*shape)
-      d_u(t, u, v, w)     -> array of shape  (N, *shape)
-      d_v / d_w           -> arrays of shape (N, n, *shape)
+      eval_fn(t, u, v, w) -> array broadcastable to (*shape)
+      d_u(t, u, v, w)     -> array broadcastable to (N, *shape)
+      d_v / d_w           -> arrays of exactly the shape (N, n, *shape)
     with t a length-n list of broadcastable coordinate arrays, u of shape
-    (N, *shape), v and w of shape (N, n, *shape).
+    (N, *shape), v and w of shape (N, n, *shape).  Any other output shape
+    raises GridMismatch.
     """
 
     n: int
@@ -94,14 +94,43 @@ def _gradient_check(lag: Lagrangian) -> None:
         return (lag.eval_fn(t, args_hi["u"], args_hi["v"], args_hi["w"])
                 - lag.eval_fn(t, args_lo["u"], args_lo["v"], args_lo["w"])) / (2 * _FD_STEP)
 
-    du = np.asarray(lag.d_u(t, u, v, w))
-    dv = np.asarray(lag.d_v(t, u, v, w))
-    dw = np.asarray(lag.d_w(t, u, v, w))
+    du, dv, dw = _partials(lag, (t, u, v, w))
     for k in range(lag.N):
         _compare_partial(du[k], fd(u, k), f"dF/du[{k}]", lag.name)
         for i in range(lag.n):
             _compare_partial(dv[k, i], fd(v, (k, i)), f"dF/dv[{k}][{i}]", lag.name)
             _compare_partial(dw[k, i], fd(w, (k, i)), f"dF/dw[{k}][{i}]", lag.name)
+
+
+def _shaped(value, shape: tuple, label: str, exact: bool = False
+            ) -> np.ndarray:
+    """A Lagrangian output as a float array of the given shape: exactly
+    that shape when exact, otherwise broadcast to it.  Raises GridMismatch
+    for any other shape."""
+    arr = np.asarray(value, dtype=float)
+    if exact:
+        if arr.shape == shape:
+            return arr
+    else:
+        try:
+            return np.broadcast_to(arr, shape)
+        except ValueError:
+            pass
+    raise GridMismatch(
+        f"Lagrangian output {label} has shape {arr.shape}, expected "
+        f"{'' if exact else 'one broadcastable to '}{shape}")
+
+
+def _partials(lag: Lagrangian, args: tuple, with_du: bool = True):
+    """(dF/du, dF/dv, dF/dw) at the callback arguments args = (t, u, v, w),
+    called in that order and shaped as the Lagrangian contract promises:
+    dF/du broadcast into a new array of u's shape (None unless with_du),
+    dF/dv and dF/dw of exactly the shape of v and w."""
+    _, u, v, w = args
+    du = (np.array(_shaped(lag.d_u(*args), u.shape, "dF/du"))
+          if with_du else None)
+    return (du, _shaped(lag.d_v(*args), v.shape, "dF/dv", exact=True),
+            _shaped(lag.d_w(*args), w.shape, "dF/dw", exact=True))
 
 
 def _compare_partial(exact: np.ndarray, approx: np.ndarray, label: str,
@@ -143,9 +172,7 @@ class ProblemSpec:
             raise LengthMismatch(
                 f"Lagrangian expects {self.lagrangian.n} variables, grid has {d}")
         if self.boundary is not None:
-            same_grid(self.boundary.grid, self.grid)
-            if self.boundary.ncomp != self.lagrangian.N:
-                raise GridMismatch("boundary data component count mismatch")
+            check_field(self.boundary, self.grid, self.lagrangian.N)
 
     @property
     def ncomp(self) -> int:
@@ -160,57 +187,27 @@ class ProblemSpec:
                           self.kernels_beta, self.grid)
 
 
-def check_admissible(spec, u: Field) -> None:
-    """Raise unless u lives on spec.grid with spec.ncomp components and its
-    boundary trace equals spec.boundary (when the spec has one).  Serves
-    ProblemSpec and DirichletSpec alike."""
-    same_grid(u.grid, spec.grid)
-    if u.ncomp != spec.ncomp:
-        raise GridMismatch(
-            f"field has {u.ncomp} components, the problem expects {spec.ncomp}")
-    if spec.boundary is None:
-        return
-    # The boundary is the union of the two end faces of every axis; a step
-    # of n picks nodes 0 and n of the axis as one view.
-    diff = np.max([
-        np.max(np.abs(u.values[sl] - spec.boundary.values[sl]))
-        for sl in ((slice(None),) * (i + 1) + (slice(None, None, ax.n),)
-                   for i, ax in enumerate(spec.grid.axes))])
-    if diff > _BOUNDARY_TOL:
-        raise BoundaryViolation(f"boundary trace differs from psi by "
-                                f"{diff:.3e} (> {_BOUNDARY_TOL})")
-
-
-def _blocks(spec: ProblemSpec, u: Field):
-    """(t, u, v, w) arguments for the Lagrangian callbacks at the field u."""
+def _blocks(spec: ProblemSpec, u: Field, mixed: bool = False):
+    """(t, u, v, w) arguments for the Lagrangian callbacks at the field u;
+    with mixed, the w block is the classical gradient d u / d t_i."""
     d, N = spec.grid.ndim, spec.lagrangian.N
     shape = spec.grid.shape
     v = np.empty((N, d) + shape)
     w = np.empty((N, d) + shape)
-    for i, (bp, kp) in enumerate(zip(spec.b_plans(), spec.k_plans())):
+    b_plans = spec.b_plans()
+    k_plans = None if mixed else spec.k_plans()
+    for i, bp in enumerate(b_plans):
         v[:, i] = apply_op_nd(bp, u).values
-        w[:, i] = apply_op_nd(kp, u).values
-    return spec.grid.coords(), u.values, v, w
-
-
-def _blocks_mixed(spec: ProblemSpec, u: Field):
-    """As _blocks, but the w block is the classical gradient d u / d t_i."""
-    d, N = spec.grid.ndim, spec.lagrangian.N
-    shape = spec.grid.shape
-    v = np.empty((N, d) + shape)
-    w = np.empty((N, d) + shape)
-    for i, bp in enumerate(spec.b_plans()):
-        v[:, i] = apply_op_nd(bp, u).values
-        w[:, i] = derivative_along_axis(u.values, spec.grid.axes[i], i)
+        w[:, i] = (derivative_along_axis(u.values, spec.grid.axes[i], i)
+                   if mixed else apply_op_nd(k_plans[i], u).values)
     return spec.grid.coords(), u.values, v, w
 
 
 def evaluate_functional(spec: ProblemSpec, u: Field) -> float:
     """J[u]: evaluate F nodewise on the operator blocks and integrate."""
     check_admissible(spec, u)
-    t, uu, v, w = _blocks(spec, u)
-    fvals = np.broadcast_to(np.asarray(spec.lagrangian.eval_fn(t, uu, v, w),
-                                       dtype=float), spec.grid.shape)
+    fvals = _shaped(spec.lagrangian.eval_fn(*_blocks(spec, u)),
+                    spec.grid.shape, "F")
     return volume_integral(Field(spec.grid, fvals[np.newaxis]))
 
 
@@ -221,15 +218,10 @@ def el_residual(spec: ProblemSpec, u: Field) -> Field:
 
     oriented as the first-variation density (delta J = <eta, el> for
     admissible eta).  Near-zero in the interior means u is an extremal;
-    boundary nodes are flagged, not asserted."""
+    boundary nodes are not asserted."""
     check_admissible(spec, u)
-    t, uu, v, w = _blocks(spec, u)
-    lag = spec.lagrangian
-    res = np.array(np.broadcast_to(lag.d_u(t, uu, v, w),
-                                   (lag.N,) + spec.grid.shape), dtype=float)
-    dv = lag.d_v(t, uu, v, w)
-    dw = lag.d_w(t, uu, v, w)
-    del v, w   # the adjoint loop reads only the partials
+    # The blocks are released on return: the loop reads only the partials.
+    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u))
     b_plans = spec.b_plans()
     k_duals = axis_plans(OpKind.K, spec.betas,
                          [dual(ps) for ps in spec.psets2], spec.kernels_beta,
@@ -237,7 +229,7 @@ def el_residual(spec: ProblemSpec, u: Field) -> Field:
     for i, (bp, kdp) in enumerate(zip(b_plans, k_duals)):
         res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
         res += apply_op_nd(kdp, Field(spec.grid, dw[:, i])).values
-    return Field(spec.grid, res, flagged_boundary=True)
+    return Field(spec.grid, res)
 
 
 def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
@@ -248,17 +240,11 @@ def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
 
     with the same first-variation orientation as el_residual."""
     check_admissible(spec, u)
-    t, uu, v, w = _blocks_mixed(spec, u)
-    lag = spec.lagrangian
-    res = np.array(np.broadcast_to(lag.d_u(t, uu, v, w),
-                                   (lag.N,) + spec.grid.shape), dtype=float)
-    dv = lag.d_v(t, uu, v, w)
-    dw = lag.d_w(t, uu, v, w)
-    del v, w   # the adjoint loop reads only the partials
+    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u, mixed=True))
     for i, bp in enumerate(spec.b_plans()):
         res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
         res -= derivative_along_axis(dw[:, i], spec.grid.axes[i], i)
-    return Field(spec.grid, res, flagged_boundary=True)
+    return Field(spec.grid, res)
 
 
 def _second_diff_along_axis(values: np.ndarray, grid: Grid1D, axis: int) -> np.ndarray:
@@ -296,7 +282,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
         rho . A_{Pt*}^a B_{Pt}^a u - sum_i A_{P*_xi}^{b_i}(stiffness . B_{P_xi}^{b_i} u)
 
     The starred operators are built directly on the dual p-sets.  Only
-    interior nodes are meaningful (boundary flagged)."""
+    interior nodes are meaningful."""
     if rho <= 0.0 or stiffness <= 0.0:
         raise DomainError(f"rho and stiffness must be positive, got {rho}, {stiffness}")
     grid = u.grid
@@ -318,7 +304,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
             ap_x = make_plan(OpKind.A, beta_x, dual(pset_x), kernel_x, grid.axes[i], axis=i)
             flux = Field(grid, stiffness * apply_op_nd(bp_x, u).values)
             out -= apply_op_nd(ap_x, flux).values
-    return Field(grid, out, flagged_boundary=True)
+    return Field(grid, out)
 
 
 # ---------------------------------------------------------------------------

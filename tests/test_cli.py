@@ -172,6 +172,18 @@ def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decrease_factor_min_without_error_column_exits_1(tmp_path, capsys):
+    # op-apply writes no error column, so there is no sweep of errors whose
+    # decrease the bound could measure.
+    payload = load_payload("op_apply_halfint.json")
+    payload["tolerances"]["decrease_factor_min"] = 2.0
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "needs an error column" in err
+    assert "(field: decrease_factor_min)" in err
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.run(str(tmp_path / "absent.json")) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fracvar import COMMANDS, load_config
+from fracvar import COMMANDS, constant_kernel, load_config
 from fracvar.errors import ConfigError, FracvarError, ParseError
 
 
@@ -175,6 +175,15 @@ class TestRootSchema:
         with pytest.raises(ConfigError, match="sweep"):
             load_config(write(tmp_path, payload))
 
+    @pytest.mark.parametrize("tolerances", [[], [["abs_error", 1e-3]], 1e-3,
+                                            "abs_error"])
+    def test_tolerances_must_be_an_object(self, tmp_path, tolerances):
+        payload = base_op_apply()
+        payload["tolerances"] = tolerances
+        with pytest.raises(ConfigError, match="must be an object") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "tolerances"
+
     @pytest.mark.parametrize("value", ["tight", True, False])
     def test_bad_tolerance_value(self, tmp_path, value):
         payload = base_op_apply()
@@ -270,6 +279,20 @@ class TestProblemBlocks:
         with pytest.raises(ConfigError, match="kernel"):
             load_config(write(tmp_path, payload))
 
+    def test_constant_kernel_accepted(self, tmp_path):
+        payload = base_op_apply()
+        payload["problem"]["kernels"] = ["constant"]
+        cfg = load_config(write(tmp_path, payload))
+        assert cfg.problem.kernels == [constant_kernel()]
+
+    @pytest.mark.parametrize("kernels", [[], ["rl", "rl"], "rl"])
+    def test_kernels_must_list_one_per_axis(self, tmp_path, kernels):
+        payload = base_op_apply()
+        payload["problem"]["kernels"] = kernels
+        with pytest.raises(ConfigError, match="one kernel per axis") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "kernels"
+
     def test_tabulated_kernel_accepted(self, tmp_path):
         payload = base_op_apply()
         payload["problem"]["kernels"] = [
@@ -295,6 +318,14 @@ class TestProblemBlocks:
         payload = base_op_apply()
         del payload["problem"]["field"]
         with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "field"
+
+    @pytest.mark.parametrize("field", [2, ["t1"], True])
+    def test_expression_must_be_a_string(self, tmp_path, field):
+        payload = base_op_apply()
+        payload["problem"]["field"] = field
+        with pytest.raises(ConfigError, match="expression string") as exc:
             load_config(write(tmp_path, payload))
         assert exc.value.field == "field"
 

