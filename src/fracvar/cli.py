@@ -4,13 +4,16 @@
 
 Each config runs one command (see config.COMMANDS), usually over a sweep of
 grid sizes.  load_config resolves the config once; the command's runner gets
-that Problem and one grid per size.  The result is one float table: a CSV
-(``%.17g`` cells, LF line endings) and a ``<output>.summary.json`` with
-pass/fail per declared tolerance.  The CSV is streamed to disk in chunks of
-rows, and a column that repeats its values (grid coordinates always do) has
-each distinct value formatted once.  Exit codes: 0 all tolerances pass, 2 a
-tolerance failed, 1 configuration, runtime or output error.  Output goes to
---output-dir, else $FRACVAR_OUTPUT_DIR, else the config file's directory.
+that Problem and one grid per size.  ``_COMMANDS`` holds, per command, the
+runner, the CSV columns and the error column, so every tolerance key is
+checked against the header before the sweep runs.  The result is one float
+table: a CSV (``%.17g`` cells, LF line endings) and a
+``<output>.summary.json`` with pass/fail per declared tolerance.  The CSV is
+streamed to disk in chunks of rows, and a column that repeats its values
+(grid coordinates always do) has each distinct value formatted once.  Exit
+codes: 0 all tolerances pass, 2 a tolerance failed, 1 configuration,
+runtime or output error.  Output goes to --output-dir, else
+$FRACVAR_OUTPUT_DIR, else the config file's directory.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ def _random_smooth_field(grid: GridND, rng: np.random.Generator) -> Field:
 
 # ---------------------------------------------------------------------------
 # Command implementations: each takes the resolved problem and one size's grid,
-# builds only what depends on the grid (plans, fields, specs) and returns
-# (header, rows).  op-apply returns a float array, one row per node; the others
-# one row, [[n, ...]].  run_experiment stacks them into one float table.
+# builds only what depends on the grid (plans, fields, specs) and returns its
+# rows.  op-apply returns a float array, one row per node; the others one row,
+# [[n, ...]].  run_experiment stacks them into one float table under the
+# command's header.
 
 
 def _apply_configured_op(p: Problem, grid: GridND, fn: Callable) -> Field:
@@ -69,94 +73,111 @@ def _apply_configured_op(p: Problem, grid: GridND, fn: Callable) -> Field:
     return apply_op_nd(plan, _expr_field(grid, fn))
 
 
-def _run_op_apply(p: Problem, grid: GridND) -> tuple[list[str], np.ndarray]:
+def _run_op_apply(p: Problem, grid: GridND) -> np.ndarray:
     out = _apply_configured_op(p, grid, p.field)
-    header = [f"t{i + 1}" for i in range(grid.ndim)] + ["value"]
     # C order of the raveled arrays: one row per node, last axis fastest.
     mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
     columns = [m.ravel() for m in mesh] + [out.values[0].ravel()]
     if p.oracle is not None:
-        header.append("abs_error")
         oracle = np.asarray(p.oracle(grid.coords()), dtype=float)
         columns.append(np.abs(out.values[0] - oracle).ravel())
-    return header, np.column_stack(columns)
+    return np.column_stack(columns)
 
 
-def _run_ibp_check(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_ibp_check(p: Problem, grid: GridND) -> list[list]:
     check = check_K_duality if p.identity == "duality" else check_ibp
     rep = check(_expr_field(grid, p.f), _expr_field(grid, p.eta),
                 p.psets[0], p.orders[0], p.kernels[0], p.axis)
-    header = ["n", "lhs", "rhs", "boundary_term", "residual_abs",
-              "residual_rel"]
-    return header, [[grid.axes[0].n, rep.lhs, rep.rhs, rep.boundary_term,
-                     rep.residual, rep.residual_rel]]
+    return [[grid.axes[0].n, rep.lhs, rep.rhs, rep.boundary_term,
+             rep.residual, rep.residual_rel]]
 
 
-def _run_el_residual(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_el_residual(p: Problem, grid: GridND) -> list[list]:
     spec = ProblemSpec(grid, p.lagrangian, p.psets1, p.psets2, p.alphas,
                        p.betas, p.kernels_alpha, p.kernels_beta)
     u = _expr_field(grid, p.field)
     res = (el_residual_mixed if p.mixed else el_residual)(spec, u)
-    return ["n", "max_interior_residual"], [[grid.axes[0].n,
-                                             interior_max_abs(res)]]
+    return [[grid.axes[0].n, interior_max_abs(res)]]
 
 
-def _run_dirichlet_solve(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_dirichlet_solve(p: Problem, grid: GridND) -> list[list]:
     psi = _expr_field(grid, p.boundary)
     spec = DirichletSpec(grid, p.psets, p.alphas, p.kernels, psi, tol=p.tol)
     result = minimize_energy(spec)
-    header = ["n", "iterations", "gradient_norm", "bvp_residual", "energy"]
-    return header, [[grid.axes[0].n, result.iterations, result.gradient_norm,
-                     interior_max_abs(bvp_residual(spec, result.field)),
-                     energy(spec, result.field)]]
+    return [[grid.axes[0].n, result.iterations, result.gradient_norm,
+             interior_max_abs(bvp_residual(spec, result.field)),
+             energy(spec, result.field)]]
 
 
-def _run_noether_check(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_noether_check(p: Problem, grid: GridND) -> list[list]:
     spec = ProblemSpec(grid, p.lagrangian, p.psets1, p.psets2, p.alphas,
                        p.betas, p.kernels_alpha, p.kernels_beta)
     u = (_expr_field(grid, p.u0) if p.u0 is not None
          else _random_smooth_field(grid, np.random.default_rng(p.seed)))
     gen = p.generator
-    header = ["n", "chain_defect", "noether_interior", "invariance_interior"]
-    return header, [[grid.axes[0].n, chain_identity_residual(spec, u, gen),
-                     interior_max_abs(noether_residual(spec, u, gen)),
-                     interior_max_abs(invariance_residual(spec, u, gen))]]
+    return [[grid.axes[0].n, chain_identity_residual(spec, u, gen),
+             interior_max_abs(noether_residual(spec, u, gen)),
+             interior_max_abs(invariance_residual(spec, u, gen))]]
 
 
-def _run_wave_residual(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_wave_residual(p: Problem, grid: GridND) -> list[list]:
     time_op = (p.psets[0], p.alphas[0], p.kernels[0])
     space_ops = (None if p.space_betas is None
                  else list(zip(p.psets[1:], p.space_betas, p.kernels[1:])))
     res = wave_residual(_expr_field(grid, p.field), p.rho, p.stiffness,
                         time_op, space_ops)
-    return ["n", "max_interior_residual"], [[grid.axes[0].n,
-                                             interior_max_abs(res)]]
+    return [[grid.axes[0].n, interior_max_abs(res)]]
 
 
-def _run_convergence_sweep(p: Problem, grid: GridND) -> tuple[list[str], list[list]]:
+def _run_convergence_sweep(p: Problem, grid: GridND) -> list[list]:
     out = _apply_configured_op(p, grid, p.f)
     oracle = _expr_field(grid, p.oracle)
     err = interior_max_abs(Field(grid, out.values - oracle.values))
-    return ["n", "max_interior_error"], [[grid.axes[0].n, err]]
+    return [[grid.axes[0].n, err]]
 
 
-_RUNNERS = {
-    "op-apply": _run_op_apply,
-    "ibp-check": _run_ibp_check,
-    "el-residual": _run_el_residual,
-    "dirichlet-solve": _run_dirichlet_solve,
-    "noether-check": _run_noether_check,
-    "wave-residual": _run_wave_residual,
-    "convergence-sweep": _run_convergence_sweep,
+def _fixed(*names: str) -> Callable[[Problem], list[str]]:
+    return lambda p: list(names)
+
+
+def _op_apply_columns(p: Problem) -> list[str]:
+    return ([f"t{i + 1}" for i in range(p.ndim)] + ["value"]
+            + (["abs_error"] if p.oracle is not None else []))
+
+
+# command -> (runner, its CSV columns for a resolved problem, the error column
+# whose per-size values gain an order_est column over the sweep, or None).
+_COMMANDS = {
+    "op-apply": (_run_op_apply, _op_apply_columns, None),
+    "ibp-check": (_run_ibp_check,
+                  _fixed("n", "lhs", "rhs", "boundary_term", "residual_abs",
+                         "residual_rel"),
+                  "residual_abs"),
+    "el-residual": (_run_el_residual, _fixed("n", "max_interior_residual"),
+                    "max_interior_residual"),
+    "dirichlet-solve": (_run_dirichlet_solve,
+                        _fixed("n", "iterations", "gradient_norm",
+                               "bvp_residual", "energy"),
+                        None),
+    "noether-check": (_run_noether_check,
+                      _fixed("n", "chain_defect", "noether_interior",
+                             "invariance_interior"),
+                      None),
+    "wave-residual": (_run_wave_residual,
+                      _fixed("n", "max_interior_residual"),
+                      "max_interior_residual"),
+    "convergence-sweep": (_run_convergence_sweep,
+                          _fixed("n", "max_interior_error"),
+                          "max_interior_error"),
 }
 
-# Commands whose per-size rows gain an order_est column over the sweep.
-_ERROR_COLUMN = {
-    "ibp-check": "residual_abs",
-    "el-residual": "max_interior_residual",
-    "wave-residual": "max_interior_residual",
-    "convergence-sweep": "max_interior_error",
-}
+
+def _header(cfg: ExperimentConfig) -> list[str]:
+    """The CSV header of cfg: the command's columns, then order_est when
+    the command has an error column."""
+    _, columns, error_column = _COMMANDS[cfg.command]
+    header = columns(cfg.problem)
+    return header + ["order_est"] if error_column else header
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1
@@ -164,7 +185,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
     """Run the command over its sweep (or single default size) and collect
     the rows in sweep order into one float table; sweep entries are
     independent and run in parallel up to ``jobs``."""
-    runner, problem = _RUNNERS[cfg.command], cfg.problem
+    runner, columns, error_column = _COMMANDS[cfg.command]
+    problem = cfg.problem
     sizes = cfg.sweep if cfg.sweep is not None else (problem.size,)
     grids = (problem.grid(n) for n in sizes)
     if jobs > 1 and len(sizes) > 1:
@@ -172,47 +194,65 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
             results = list(pool.map(lambda g: runner(problem, g), grids))
     else:
         results = [runner(problem, grid) for grid in grids]
-    header = results[0][0]
-    table = np.concatenate([chunk for _, chunk in results], dtype=float)
-    err_col = _ERROR_COLUMN.get(cfg.command)
-    if err_col is not None and err_col in header:
+    table = np.concatenate(results, dtype=float)
+    if error_column is not None:
         # These commands give one row per size.
-        errs = table[:, header.index(err_col)].tolist()
+        errs = table[:, columns(problem).index(error_column)].tolist()
         order = [math.nan] * len(sizes)
         for i in range(1, len(sizes)):
             if errs[i] != 0.0 and errs[i - 1] != 0.0:
                 order[i] = (math.log(errs[i - 1] / errs[i])
                             / math.log(sizes[i] / sizes[i - 1]))
-        header = header + ["order_est"]
         table = np.column_stack([table, order])
-    return header, table
+    return _header(cfg), table
 
 
 # ---------------------------------------------------------------------------
 # Tolerance evaluation and output
 
 
-def evaluate_tolerances(tolerances: dict, header: list[str],
-                        table: np.ndarray) -> dict:
-    """Each entry: name -> {bound, value, pass}; see config module docstring
-    for the key forms."""
-    report = {}
-    err_col = None
-    for name in _ERROR_COLUMN.values():
-        if name in header:
-            err_col = header.index(name)
-            break
-    for key, bound in tolerances.items():
+def _tolerance_columns(tolerances: dict, header: list[str],
+                       error_column: Optional[str]
+                       ) -> dict[str, tuple[str, int]]:
+    """Each tolerance key -> (form, index of the column it reads), the form
+    one of "range", "decrease", "max" and "last"; raises ConfigError for a
+    key that names no column of header."""
+    columns = {}
+    for key in tolerances:
         if key == "order_est_range" and "order_est" in header:
-            value = table[-1, header.index("order_est")].item()
+            columns[key] = ("range", header.index("order_est"))
+        elif key == "decrease_factor_min":
+            if error_column is None:
+                raise ConfigError(
+                    "decrease_factor_min needs an error column", field=key)
+            columns[key] = ("decrease", header.index(error_column))
+        elif key.endswith("_max") and key[:-4] in header:
+            columns[key] = ("max", header.index(key[:-4]))
+        elif key in header:
+            columns[key] = ("last", header.index(key))
+        else:
+            raise ConfigError(f"tolerance {key!r} names no CSV column",
+                              field=key)
+    return columns
+
+
+def evaluate_tolerances(tolerances: dict, header: list[str],
+                        table: np.ndarray,
+                        error_column: Optional[str] = None) -> dict:
+    """Each entry: name -> {bound, value, pass}; see config module docstring
+    for the key forms.  ``decrease_factor_min`` reads error_column, which
+    must then be given."""
+    report = {}
+    for key, (form, col) in _tolerance_columns(tolerances, header,
+                                               error_column).items():
+        bound = tolerances[key]
+        if form == "range":
+            value = table[-1, col].item()
             ok = (not math.isnan(value)) and bound[0] <= value <= bound[1]
             report[key] = {"bound": bound, "value": value, "pass": bool(ok)}
             continue
-        if key == "decrease_factor_min":
-            if err_col is None:
-                raise ConfigError(
-                    "decrease_factor_min needs an error column", field=key)
-            errs = table[:, err_col]
+        if form == "decrease":
+            errs = table[:, col]
             with np.errstate(divide="ignore", invalid="ignore"):
                 factors = np.where(errs[1:] == 0.0, math.inf,
                                    errs[:-1] / errs[1:])
@@ -221,13 +261,8 @@ def evaluate_tolerances(tolerances: dict, header: list[str],
             report[key] = {"bound": bound, "value": worst,
                            "pass": bool(worst >= bound)}
             continue
-        if key.endswith("_max") and key[:-4] in header:
-            value = np.max(table[:, header.index(key[:-4])]).item()
-        elif key in header:
-            value = table[-1, header.index(key)].item()
-        else:
-            raise ConfigError(f"tolerance {key!r} names no CSV column",
-                              field=key)
+        value = (np.max(table[:, col]) if form == "max"
+                 else table[-1, col]).item()
         report[key] = {"bound": bound, "value": value,
                        "pass": bool(value <= bound)}
     return report
@@ -325,8 +360,12 @@ def run(config_path: str, output_dir: Optional[str] = None,
     """Execute one config; returns the process exit code."""
     try:
         cfg = load_config(config_path)
+        error_column = _COMMANDS[cfg.command][2]
+        # Every tolerance key must name a column before the sweep runs.
+        _tolerance_columns(cfg.tolerances, _header(cfg), error_column)
         header, table = run_experiment(cfg, jobs=jobs)
-        report = evaluate_tolerances(cfg.tolerances, header, table)
+        report = evaluate_tolerances(cfg.tolerances, header, table,
+                                     error_column)
     except FracvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,12 +45,11 @@ import numpy as np
 
 from .errors import (DegenerateEnergy, DomainError, FracvarError,
                      GridMismatch, NoConvergence)
-from .ibp import volume_integral
+from .ibp import _trapezoid_sum
 from .model import (Field, GridND, KernelSpec, ParamSet, check_admissible,
                     check_field)
-from .operators import (OpKind, _adjoint_weighted, _apply_values,
-                        _matmul_along, _weights_along, apply_matrix_along_axis,
-                        apply_op_nd, axis_plans)
+from .operators import (OpKind, _adjoint_weighted, _apply, _matmul_along,
+                        _weights_along, apply_matrix_along_axis, axis_plans)
 
 
 @dataclass(frozen=True)
@@ -102,23 +101,24 @@ def energy(spec: DirichletSpec, u: Field) -> float:
     check_admissible(spec, u)
     total = 0.0
     for bp in spec.b_plans():
-        bu = apply_op_nd(bp, u).data
-        total += volume_integral(Field(spec.grid, bu * bu))
+        bu = _apply(bp, u.values)[0]
+        total += _trapezoid_sum(bu * bu, spec.grid.axes)
     return total
 
 
 def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
     """sum_i A_{P_i*}^{alpha_i}(B_{P_i}^{alpha_i} u), the starred operators
     realized as exact transposes; zero in the interior characterizes the
-    solution.  The sum runs on arrays, each term weighted in place and
-    subtracted from 0: x - y rounds as x + (-y), signed zeros included, so
-    the sum is bitwise that of the negated terms of ``adjoint_apply``."""
+    solution.  The sum runs on arrays: each B u is weighted as it is
+    copied into C order, which the dense product reads without another
+    copy, and each term is subtracted from 0: x - y rounds as x + (-y),
+    signed zeros included, so the sum is bitwise that of the negated terms
+    of ``adjoint_apply``."""
     check_field(u, spec.grid, 1)
     out = None
     for bp in spec.b_plans():
         wb = _weights_along(bp, u.values.ndim)
-        bu = _apply_values(bp, u.values)
-        bu *= wb
+        bu = np.multiply(_apply(bp, u.values), wb, order="C")
         term = _adjoint_weighted(bp, bu, wb, negate=False)
         if out is None:
             out = np.subtract(0.0, term, out=term)

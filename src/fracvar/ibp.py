@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .model import (Field, Grid1D, KernelFamily, KernelSpec, ParamSet,
                     check_axis, check_field, dual)
-from .operators import OpKind, apply_op_nd, make_plan
+from .operators import OpKind, _apply, make_plan
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,10 @@ def _make_report(lhs: float, rhs: float, boundary_term: float, grid_n: int,
 def _trapezoid_sum(vals: np.ndarray, axes: tuple[Grid1D, ...]) -> float:
     """Tensor-product trapezoidal rule of vals, one array axis per grid
     axis, contracted one axis at a time from the last; no weight tensor is
-    formed.  On one axis this is sum(w * vals)."""
+    formed.  On one axis this is sum(w * vals).  Values not in C order are
+    copied into it first: numpy's summation order follows the memory
+    layout, and the sum must not."""
+    vals = np.ascontiguousarray(vals)
     for ax in axes[:0:-1]:
         vals = np.sum(vals * ax.trapezoid_weights(), axis=-1)
     return float(np.sum(axes[0].trapezoid_weights() * vals))
@@ -71,12 +74,17 @@ def boundary_integral(g: Field, axis: int) -> float:
     t_axis = b minus the one over t_axis = a (the two faces with nonzero
     component of the outward normal along ``axis``).  For a 1D grid this is
     g(b) - g(a)."""
-    grid = g.grid
-    check_axis(grid, axis)
-    faces = np.moveaxis(g.data, axis, 0)
-    if grid.ndim == 1:
+    check_axis(g.grid, axis)
+    return _face_sum(g.data, g.grid.axes, axis)
+
+
+def _face_sum(vals: np.ndarray, axes: tuple[Grid1D, ...], axis: int) -> float:
+    """``boundary_integral`` of the value array vals (one array axis per
+    grid axis), unchecked."""
+    faces = np.moveaxis(vals, axis, 0)
+    if len(axes) == 1:
         return float(faces[-1] - faces[0])
-    others = grid.axes[:axis] + grid.axes[axis + 1:]
+    others = axes[:axis] + axes[axis + 1:]
     return _trapezoid_sum(faces[-1], others) - _trapezoid_sum(faces[0], others)
 
 
@@ -94,8 +102,9 @@ def check_K_duality(f: Field, eta: Field, pset: ParamSet, order: float,
     grid = _common_checks(f, eta, axis)
     plan = make_plan(OpKind.K, order, pset, kernel, grid, axis)
     plan_dual = make_plan(OpKind.K, order, dual(pset), kernel, grid, axis)
-    lhs = volume_integral(Field(f.grid, f.data * apply_op_nd(plan, eta).data))
-    rhs = volume_integral(Field(f.grid, eta.data * apply_op_nd(plan_dual, f).data))
+    axes = f.grid.axes
+    lhs = _trapezoid_sum(f.data * _apply(plan, eta.values)[0], axes)
+    rhs = _trapezoid_sum(eta.data * _apply(plan_dual, f.values)[0], axes)
     unverified = kernel.family is KernelFamily.TABULATED
     return _make_report(lhs, rhs, 0.0, grid.n, unverified)
 
@@ -109,10 +118,9 @@ def check_ibp(f: Field, eta: Field, pset: ParamSet, order: float,
     b_plan = make_plan(OpKind.B, order, pset, kernel, grid, axis)
     k_dual = make_plan(OpKind.K, 1.0 - order, dual(pset), kernel, grid, axis)
     a_dual = make_plan(OpKind.A, order, dual(pset), kernel, grid, axis)
-    lhs = volume_integral(Field(f.grid, f.data * apply_op_nd(b_plan, eta).data))
-    bterm = boundary_integral(
-        Field(f.grid, eta.data * apply_op_nd(k_dual, f).data), axis)
-    rhs = bterm - volume_integral(
-        Field(f.grid, eta.data * apply_op_nd(a_dual, f).data))
+    axes = f.grid.axes
+    lhs = _trapezoid_sum(f.data * _apply(b_plan, eta.values)[0], axes)
+    bterm = _face_sum(eta.data * _apply(k_dual, f.values)[0], axes, axis)
+    rhs = bterm - _trapezoid_sum(eta.data * _apply(a_dual, f.values)[0], axes)
     unverified = kernel.family is KernelFamily.TABULATED
     return _make_report(lhs, rhs, bterm, grid.n, unverified)

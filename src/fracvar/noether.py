@@ -20,6 +20,12 @@ the invariance condition yields the unconditional chain identity
 which holds nodewise for any field, extremal or not; the operator
 realizations here match el_residual exactly so the identity closes to
 floating-point accuracy.
+
+The residuals run on value arrays: each bracket has a private twin,
+``_bracket_D`` / ``_bracket_I``, that takes the plans and the arrays.  The
+public brackets check their fields and axis, build their plans and call
+the twin; ``_noether`` calls the twins with the spec's plans.  A chain
+builds four ``Field``s: the generator sample and its three residuals.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ import numpy as np
 from .errors import DomainError
 from .model import (Field, KernelSpec, ParamSet, check_admissible, check_axis,
                     check_field, dual)
-from .operators import OpKind, adjoint_apply, apply_op_nd, make_plan
-from .variational import ProblemSpec, _blocks, _partials, el_residual
+from .operators import FracOpPlan, OpKind, _adjoint, _apply, make_plan
+from .variational import (ProblemSpec, _blocks, _k_dual_plans, _partials,
+                          _shaped, el_residual)
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,12 @@ class SymmetryGenerator:
     description: str = ""
 
     def sample(self, spec: ProblemSpec, u: Field) -> Field:
-        vals = np.asarray(self.xi(spec.grid.coords(), u.values), dtype=float)
-        target = (u.ncomp,) + spec.grid.shape
-        field = Field(spec.grid, np.broadcast_to(vals, target))
+        """The samples xi(t, u) broadcast to (N, *shape); any other shape
+        raises GridMismatch."""
+        vals = _shaped(self.xi(spec.grid.coords(), u.values),
+                       (u.ncomp,) + spec.grid.shape,
+                       f"generator {self.description!r} output")
+        field = Field(spec.grid, vals)
         _smoothness_screen(field, self.description)
         return field
 
@@ -82,13 +92,25 @@ def invariance_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> 
 
 
 def _invariance(spec: ProblemSpec, u: Field, xi: Field) -> Field:
-    du, dv, dw = _partials(spec.lagrangian, _blocks(spec, u))
-    res = np.sum(du * xi.values, axis=0)
+    du, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values))
+    x = xi.values
+    res = np.sum(du * x, axis=0)
     for i, (bp, kp) in enumerate(zip(spec.b_plans(), spec.k_plans())):
-        bxi = apply_op_nd(bp, xi).values
-        kxi = apply_op_nd(kp, xi).values
-        res += np.sum(dv[:, i] * bxi + dw[:, i] * kxi, axis=0)
+        res += np.sum(dv[:, i] * _apply(bp, x) + dw[:, i] * _apply(kp, x),
+                      axis=0)
     return Field(spec.grid, res[np.newaxis])
+
+
+def _bracket_D(bp: FracOpPlan, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """D[f, g] on value arrays, with the B_P plan bp of the axis."""
+    return f * _adjoint(bp, g, negate=True) + g * _apply(bp, f)
+
+
+def _bracket_I(kp: FracOpPlan, kdp: FracOpPlan, f: np.ndarray,
+               g: np.ndarray) -> np.ndarray:
+    """I[f, g] on value arrays, with the K_P plan kp of the axis and the
+    K_{P*} plan kdp."""
+    return -f * _apply(kdp, g) + g * _apply(kp, f)
 
 
 def bracket_D(f: Field, g: Field, pset: ParamSet, order: float,
@@ -98,9 +120,7 @@ def bracket_D(f: Field, g: Field, pset: ParamSet, order: float,
     check_field(g, f.grid, f.ncomp)
     check_axis(f.grid, axis)
     bp = make_plan(OpKind.B, order, pset, kernel, f.grid.axes[axis], axis=axis)
-    ag = adjoint_apply(bp, g, negate=True).values
-    bf = apply_op_nd(bp, f).values
-    return Field(f.grid, f.values * ag + g.values * bf)
+    return Field(f.grid, _bracket_D(bp, f.values, g.values))
 
 
 def bracket_I(f: Field, g: Field, pset: ParamSet, order: float,
@@ -112,9 +132,7 @@ def bracket_I(f: Field, g: Field, pset: ParamSet, order: float,
     kp = make_plan(OpKind.K, order, pset, kernel, f.grid.axes[axis], axis=axis)
     kp_dual = make_plan(OpKind.K, order, dual(pset), kernel, f.grid.axes[axis],
                         axis=axis)
-    kg = apply_op_nd(kp_dual, g).values
-    kf = apply_op_nd(kp, f).values
-    return Field(f.grid, -f.values * kg + g.values * kf)
+    return Field(f.grid, _bracket_I(kp, kp_dual, f.values, g.values))
 
 
 def noether_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> Field:
@@ -126,14 +144,14 @@ def noether_residual(spec: ProblemSpec, u: Field, gen: SymmetryGenerator) -> Fie
 
 
 def _noether(spec: ProblemSpec, u: Field, xi: Field) -> Field:
-    _, dv, dw = _partials(spec.lagrangian, _blocks(spec, u), with_du=False)
+    _, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values),
+                          with_du=False)
+    x = xi.values
     res = np.zeros(spec.grid.shape)
-    for i in range(spec.grid.ndim):
-        bd = bracket_D(xi, Field(spec.grid, dv[:, i]), spec.psets1[i],
-                       spec.alphas[i], spec.kernels_alpha[i], i)
-        bi = bracket_I(xi, Field(spec.grid, dw[:, i]), spec.psets2[i],
-                       spec.betas[i], spec.kernels_beta[i], i)
-        res += np.sum(bd.values + bi.values, axis=0)
+    for i, (bp, kp, kdp) in enumerate(zip(spec.b_plans(), spec.k_plans(),
+                                          _k_dual_plans(spec))):
+        res += np.sum(_bracket_D(bp, x, dv[:, i])
+                      + _bracket_I(kp, kdp, x, dw[:, i]), axis=0)
     return Field(spec.grid, res[np.newaxis])
 
 

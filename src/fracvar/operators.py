@@ -44,6 +44,13 @@ Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.  The fractional gradient is one plan
 per axis (``axis_plans``), and a starred operator is ``make_plan`` on the
 dual p-set (``model.dual``) or, for the exact transpose, ``adjoint_apply``.
+
+Inside the package operators run on value arrays (component axis 0 first)
+through one unchecked pair, ``_apply`` and ``_adjoint``; ``apply_op_nd`` and
+``adjoint_apply`` check the field against the plan and wrap the result in a
+``Field``.  A product does not depend on the memory layout of its input, so
+the same values give the same bits whether they come from a ``Field`` or
+from a strided slice of an intermediate array.
 """
 
 from __future__ import annotations
@@ -336,15 +343,22 @@ def toeplitz_along_axis(plan: FracOpPlan, values: np.ndarray,
     plan's circulant spectrum: forward, the end values are zeroed, the
     Toeplitz product taken and the end values added back through the
     boundary columns; transposed, the product uses the conjugate spectrum
-    and the boundary columns give entries 0 and n."""
+    and the boundary columns give entries 0 and n.
+
+    The result does not depend on the memory layout of values: the dense
+    product reads a C-order copy of values not in C order, and the
+    transposed boundary columns a C-order copy of the line-major view,
+    since a BLAS product rounds by the layout of its operands.  The rfft
+    and the forward boundary terms give the same bits on any layout."""
     n = plan.grid.n
     if values.size >= (n + 1) ** 2:
         M = plan.matrix
-        return apply_matrix_along_axis(M.T if transpose else M, values,
-                                       plan.axis)
+        return apply_matrix_along_axis(M.T if transpose else M,
+                                       np.ascontiguousarray(values), plan.axis)
     size, spectrum, first, last = plan._circulant
     f = np.swapaxes(values, plan.axis + 1, -1)
     if transpose:
+        f = np.ascontiguousarray(f)
         out = np.fft.irfft(np.fft.rfft(f, size) * spectrum.conj(),
                            size)[..., :n + 1]
         out[..., 0] = f @ first
@@ -367,10 +381,10 @@ def _check_plan_grid(plan: FracOpPlan, f: Field) -> None:
             f"not match field axis {plan.axis}")
 
 
-def _apply_values(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
+def _apply(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
     """``apply_op_nd`` on a value array (component axis 0 first), unchecked:
     B centering, the Toeplitz product and, for A, the stencil.  Returns a
-    new array."""
+    new array, which need not be C-contiguous."""
     if plan.kind is OpKind.B:
         vals = vals - vals[(slice(None),) * (plan.axis + 1) + (slice(0, 1),)]
     out = toeplitz_along_axis(plan, vals)
@@ -388,9 +402,9 @@ def _weights_along(plan: FracOpPlan, ndim: int) -> np.ndarray:
 
 def _adjoint_weighted(plan: FracOpPlan, g: np.ndarray, wb: np.ndarray,
                       negate: bool) -> np.ndarray:
-    """``adjoint_apply`` on weighted values g = wb * values, unchecked: the
-    transposed stencil (A) and Toeplitz product, then the division by the
-    weights and the sign, in place on the new result."""
+    """``_adjoint`` on weighted values g = wb * values: the transposed
+    stencil (A) and Toeplitz product, then the division by the weights and
+    the sign, in place on the new result."""
     if plan.kind is OpKind.A:
         g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
     out = toeplitz_along_axis(plan, g, transpose=True)
@@ -398,6 +412,15 @@ def _adjoint_weighted(plan: FracOpPlan, g: np.ndarray, wb: np.ndarray,
     if negate:
         np.negative(out, out=out)
     return out
+
+
+def _adjoint(plan: FracOpPlan, vals: np.ndarray, negate: bool) -> np.ndarray:
+    """``adjoint_apply`` on a value array (component axis 0 first),
+    unchecked: the values weighted into a new C-order array, which a dense
+    product reads without a copy, then ``_adjoint_weighted``."""
+    wb = _weights_along(plan, vals.ndim)
+    return _adjoint_weighted(plan, np.multiply(vals, wb, order="C"), wb,
+                             negate)
 
 
 def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
@@ -411,7 +434,7 @@ def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:
     ``toeplitz_along_axis`` as K, so its samples coincide bitwise with the
     stencil derivative of the K^(1-alpha) samples."""
     _check_plan_grid(plan, f)
-    return Field(f.grid, _apply_values(plan, f.values))
+    return Field(f.grid, _apply(plan, f.values))
 
 
 def apply_op_1d(plan: FracOpPlan, f: Field) -> Field:
@@ -436,6 +459,5 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     With a K-plan and negate=False it realizes K_{P*}^alpha likewise.
     """
     _check_plan_grid(plan, f)
-    wb = _weights_along(plan, f.values.ndim)
-    return Field(f.grid, _adjoint_weighted(plan, f.values * wb, wb, negate))
+    return Field(f.grid, _adjoint(plan, f.values, negate))
 

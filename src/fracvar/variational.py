@@ -16,9 +16,16 @@ gradient and reads sum_i [ A_{P1*} dF/dv + d/dt_i dF/dw ] - dF/du.
 
 Realizations of the starred operators: A_{P*} terms use the exact transpose
 of the assembled B matrix in the trapezoid inner product (so residuals of
-discrete-energy minimizers vanish to solver tolerance, and the Noether
-chain identity closes in floating point); K_{P*} terms use the operator
-built directly on the dual p-set (so the bracket antisymmetry is exact).
+discrete-energy minimizers vanish to solver tolerance, the residual of the
+Dirichlet integrand is -2x ``dirichlet.bvp_residual`` bitwise on every
+grid, and the Noether chain identity closes in floating point); K_{P*}
+terms use the operator built directly on the dual p-set (so the bracket
+antisymmetry is exact).
+
+The residuals run on value arrays through the unchecked operator pair
+``operators._apply`` / ``operators._adjoint``: the field is checked once on
+entry and the result is the one ``Field`` built.  Both Euler-Lagrange
+residuals share one body, ``_el``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (DomainError, GradientCheckError, GridMismatch,
 from .ibp import volume_integral
 from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet,
                     check_admissible, check_field, dual)
-from .operators import (OpKind, adjoint_apply, apply_op_nd, axis_plans,
+from .operators import (OpKind, _adjoint, _apply, axis_plans,
                         derivative_along_axis, make_plan)
 
 _CHECK_RNG_SEED = 1729
@@ -104,9 +111,9 @@ def _gradient_check(lag: Lagrangian) -> None:
 
 def _shaped(value, shape: tuple, label: str, exact: bool = False
             ) -> np.ndarray:
-    """A Lagrangian output as a float array of the given shape: exactly
-    that shape when exact, otherwise broadcast to it.  Raises GridMismatch
-    for any other shape."""
+    """A callback output (label names it) as a float array of the given
+    shape: exactly that shape when exact, otherwise broadcast to it.
+    Raises GridMismatch for any other shape."""
     arr = np.asarray(value, dtype=float)
     if exact:
         if arr.shape == shape:
@@ -117,7 +124,7 @@ def _shaped(value, shape: tuple, label: str, exact: bool = False
         except ValueError:
             pass
     raise GridMismatch(
-        f"Lagrangian output {label} has shape {arr.shape}, expected "
+        f"{label} has shape {arr.shape}, expected "
         f"{'' if exact else 'one broadcastable to '}{shape}")
 
 
@@ -127,10 +134,11 @@ def _partials(lag: Lagrangian, args: tuple, with_du: bool = True):
     dF/du broadcast into a new array of u's shape (None unless with_du),
     dF/dv and dF/dw of exactly the shape of v and w."""
     _, u, v, w = args
-    du = (np.array(_shaped(lag.d_u(*args), u.shape, "dF/du"))
+    label = "Lagrangian output dF/d"
+    du = (np.array(_shaped(lag.d_u(*args), u.shape, label + "u"))
           if with_du else None)
-    return (du, _shaped(lag.d_v(*args), v.shape, "dF/dv", exact=True),
-            _shaped(lag.d_w(*args), w.shape, "dF/dw", exact=True))
+    return (du, _shaped(lag.d_v(*args), v.shape, label + "v", exact=True),
+            _shaped(lag.d_w(*args), w.shape, label + "w", exact=True))
 
 
 def _compare_partial(exact: np.ndarray, approx: np.ndarray, label: str,
@@ -187,9 +195,16 @@ class ProblemSpec:
                           self.kernels_beta, self.grid)
 
 
-def _blocks(spec: ProblemSpec, u: Field, mixed: bool = False):
-    """(t, u, v, w) arguments for the Lagrangian callbacks at the field u;
-    with mixed, the w block is the classical gradient d u / d t_i."""
+def _k_dual_plans(spec: ProblemSpec):
+    """The K_{P2*} plans: one K plan per axis on the dual of psets2."""
+    return axis_plans(OpKind.K, spec.betas,
+                      [dual(ps) for ps in spec.psets2], spec.kernels_beta,
+                      spec.grid)
+
+
+def _blocks(spec: ProblemSpec, u: np.ndarray, mixed: bool = False):
+    """(t, u, v, w) arguments for the Lagrangian callbacks at the value
+    array u; with mixed, the w block is the classical gradient d u / d t_i."""
     d, N = spec.grid.ndim, spec.lagrangian.N
     shape = spec.grid.shape
     v = np.empty((N, d) + shape)
@@ -197,17 +212,17 @@ def _blocks(spec: ProblemSpec, u: Field, mixed: bool = False):
     b_plans = spec.b_plans()
     k_plans = None if mixed else spec.k_plans()
     for i, bp in enumerate(b_plans):
-        v[:, i] = apply_op_nd(bp, u).values
-        w[:, i] = (derivative_along_axis(u.values, spec.grid.axes[i], i)
-                   if mixed else apply_op_nd(k_plans[i], u).values)
-    return spec.grid.coords(), u.values, v, w
+        v[:, i] = _apply(bp, u)
+        w[:, i] = (derivative_along_axis(u, spec.grid.axes[i], i)
+                   if mixed else _apply(k_plans[i], u))
+    return spec.grid.coords(), u, v, w
 
 
 def evaluate_functional(spec: ProblemSpec, u: Field) -> float:
     """J[u]: evaluate F nodewise on the operator blocks and integrate."""
     check_admissible(spec, u)
-    fvals = _shaped(spec.lagrangian.eval_fn(*_blocks(spec, u)),
-                    spec.grid.shape, "F")
+    fvals = _shaped(spec.lagrangian.eval_fn(*_blocks(spec, u.values)),
+                    spec.grid.shape, "Lagrangian output F")
     return volume_integral(Field(spec.grid, fvals[np.newaxis]))
 
 
@@ -219,17 +234,7 @@ def el_residual(spec: ProblemSpec, u: Field) -> Field:
     oriented as the first-variation density (delta J = <eta, el> for
     admissible eta).  Near-zero in the interior means u is an extremal;
     boundary nodes are not asserted."""
-    check_admissible(spec, u)
-    # The blocks are released on return: the loop reads only the partials.
-    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u))
-    b_plans = spec.b_plans()
-    k_duals = axis_plans(OpKind.K, spec.betas,
-                         [dual(ps) for ps in spec.psets2], spec.kernels_beta,
-                         spec.grid)
-    for i, (bp, kdp) in enumerate(zip(b_plans, k_duals)):
-        res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
-        res += apply_op_nd(kdp, Field(spec.grid, dw[:, i])).values
-    return Field(spec.grid, res)
+    return _el(spec, u, mixed=False)
 
 
 def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
@@ -239,11 +244,25 @@ def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
         dF/du - sum_i A_{P1_i*} dF/dv[.][i] - sum_i d/dt_i dF/dw[.][i],
 
     with the same first-variation orientation as el_residual."""
+    return _el(spec, u, mixed=True)
+
+
+def _el(spec: ProblemSpec, u: Field, mixed: bool) -> Field:
+    """The residual of el_residual, or of el_residual_mixed when mixed: the
+    w block and the adjoint of its operator are the classical gradient and
+    -d/dt_i instead of K_{P2_i} and K_{P2_i*}.  It runs on arrays; the
+    result is the one Field it builds."""
     check_admissible(spec, u)
-    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u, mixed=True))
-    for i, bp in enumerate(spec.b_plans()):
-        res -= adjoint_apply(bp, Field(spec.grid, dv[:, i]), negate=True).values
-        res -= derivative_along_axis(dw[:, i], spec.grid.axes[i], i)
+    # The blocks are released on return: the loop reads only the partials.
+    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values, mixed))
+    b_plans = spec.b_plans()
+    k_duals = None if mixed else _k_dual_plans(spec)
+    for i, bp in enumerate(b_plans):
+        res -= _adjoint(bp, dv[:, i], negate=True)
+        if mixed:
+            res -= derivative_along_axis(dw[:, i], spec.grid.axes[i], i)
+        else:
+            res += _apply(k_duals[i], dw[:, i])
     return Field(spec.grid, res)
 
 
@@ -291,7 +310,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
     pset_t, alpha_t, kernel_t = time_op
     bp_t = make_plan(OpKind.B, alpha_t, pset_t, kernel_t, grid.axes[0], axis=0)
     ap_t = make_plan(OpKind.A, alpha_t, dual(pset_t), kernel_t, grid.axes[0], axis=0)
-    out = rho * apply_op_nd(ap_t, apply_op_nd(bp_t, u)).values
+    out = rho * _apply(ap_t, _apply(bp_t, u.values))
     if space_ops is None:
         for i in range(1, grid.ndim):
             out -= stiffness * _second_diff_along_axis(u.values, grid.axes[i], i)
@@ -302,8 +321,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
         for i, (pset_x, beta_x, kernel_x) in enumerate(space_ops, start=1):
             bp_x = make_plan(OpKind.B, beta_x, pset_x, kernel_x, grid.axes[i], axis=i)
             ap_x = make_plan(OpKind.A, beta_x, dual(pset_x), kernel_x, grid.axes[i], axis=i)
-            flux = Field(grid, stiffness * apply_op_nd(bp_x, u).values)
-            out -= apply_op_nd(ap_x, flux).values
+            out -= _apply(ap_x, stiffness * _apply(bp_x, u.values))
     return Field(grid, out)
 
 

@@ -1,9 +1,11 @@
 """Inadmissible input at every public entry raises one typed FracvarError.
 
-A field on another grid, a field with the wrong component count and a
-Lagrangian output of the wrong shape raise GridMismatch; an axis that the
-grid does not have raises AxisError; the integration-by-parts checks take
-single-component fields only (DomainError).
+A field on another grid, a field with the wrong component count, and a
+Lagrangian or symmetry-generator output of the wrong shape raise
+GridMismatch; an axis that the grid does not have raises AxisError; the
+integration-by-parts checks take single-component fields only
+(DomainError), and a NaN partial makes every Euler-Lagrange and Noether
+entry raise DomainError.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ OTHER = grid_1d(0.0, 1.0, 17)
 GRID_2D = GridND((make_uniform_grid(0.0, 1.0, 12),
                   make_uniform_grid(0.0, 1.0, 10)))
 TRANSLATION = SymmetryGenerator(lambda t, u: np.ones_like(u), "translation")
+GRID_8 = grid_1d(0.0, 1.0, 8)
 
 
 def field(grid, ncomp=1):
@@ -63,6 +66,13 @@ SPEC_ENTRIES = {
     "noether_residual": lambda s, u: noether_residual(s, u, TRANSLATION),
     "chain_identity_residual":
         lambda s, u: chain_identity_residual(s, u, TRANSLATION),
+}
+
+# Entries that take a ProblemSpec, a field and a symmetry generator.
+GENERATOR_ENTRIES = {
+    "invariance_residual": invariance_residual,
+    "noether_residual": noether_residual,
+    "chain_identity_residual": chain_identity_residual,
 }
 
 # Entries that take a Dirichlet problem and a field.
@@ -130,6 +140,16 @@ def cases():
                     lambda e=entry, g=grid, w=which:
                         e(problem(g, malformed(g, w)), field(g)),
                     GridMismatch, id=f"{name}-{grid.ndim}d-bad-{which}")
+    # A generator output that does not broadcast to (N, *shape): one node
+    # short, or two components of a one-component field.
+    for name in GENERATOR_ENTRIES:
+        for bad in ((8,), (2, 9)):
+            gen = SymmetryGenerator(lambda t, u, b=bad: np.ones(b), "bad")
+            yield pytest.param(
+                lambda e=GENERATOR_ENTRIES[name], g=gen:
+                    e(problem(GRID_8), field(GRID_8), g),
+                GridMismatch,
+                id=f"{name}-generator-shape-{'x'.join(map(str, bad))}")
     for name, entry in DIRICHLET_ENTRIES.items():
         yield pytest.param(lambda e=entry: e(field(OTHER)), GridMismatch,
                            id=f"{name}-other-grid")
@@ -215,3 +235,33 @@ def test_broadcast_partials_accepted():
     const = problem(GRID_2D, dataclasses.replace(
         lag, eval_fn=lambda t, u, v, w: 2.0))
     assert evaluate_functional(const, u) == pytest.approx(2.0, rel=1e-14)
+
+
+def nan_partial(grid, which):
+    """The Dirichlet integrand with one NaN in the output of one partial,
+    at an interior node."""
+    lag = dirichlet_energy_lagrangian(grid.ndim)
+    fn = getattr(lag, which)
+
+    def with_nan(*args):
+        out = np.array(fn(*args), dtype=float)
+        out[(0,) * (out.ndim - grid.ndim)
+            + tuple(n // 2 for n in grid.shape)] = np.nan
+        return out
+    return dataclasses.replace(lag, **{which: with_nan})
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("which", ["d_u", "d_v", "d_w"])
+@pytest.mark.parametrize("name", ["el_residual", "el_residual_mixed",
+                                  "invariance_residual", "noether_residual",
+                                  "chain_identity_residual"])
+def test_nan_partial_raises_domain_error(name, which, grid):
+    # The entries compute on arrays; the Field of each result rejects the
+    # NaN the partial carried into it.  noether_residual never reads dF/du.
+    spec = problem(grid, nan_partial(grid, which))
+    if name == "noether_residual" and which == "d_u":
+        SPEC_ENTRIES[name](spec, field(grid))
+    else:
+        with pytest.raises(DomainError):
+            SPEC_ENTRIES[name](spec, field(grid))

@@ -48,6 +48,19 @@ def test_shipped_configs_pass(config, tmp_path):
     assert summary["rows"] >= 1
 
 
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+def test_header_names_every_column(config, tmp_path):
+    # The command table's header has one name per column the runner fills,
+    # order_est included, at the config's first size.
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    if "sweep" in payload:
+        payload["sweep"] = payload["sweep"][:1]
+    cfg = load_config(write_payload(tmp_path, payload))
+    header, table = cli.run_experiment(cfg)
+    assert table.ndim == 2 and table.shape[1] == len(header)
+    assert len(set(header)) == len(header)
+
+
 def test_import_loads_no_scipy():
     # Importing scipy.linalg alone would add about 0.2 s and 28 MB of RSS
     # to every `fracvar` run (measured on a 2-core x86-64 VM).
@@ -95,8 +108,8 @@ def test_nan_in_decrease_factor_sweep_fails(nan_row):
     table = np.array([[16, 1e-2], [32, 1e-3], [64, 1e-4]])
     table[nan_row, 1] = math.nan
     entry = cli.evaluate_tolerances({"decrease_factor_min": 2.0},
-                                    ["n", "max_interior_error"],
-                                    table)["decrease_factor_min"]
+                                    ["n", "max_interior_error"], table,
+                                    "max_interior_error")["decrease_factor_min"]
     assert math.isnan(entry["value"]) and entry["pass"] is False
 
 
@@ -125,8 +138,8 @@ def test_summary_is_strict_json(tmp_path):
 def test_decrease_factor_zero_error_is_infinite():
     table = np.array([[16, 1e-2], [32, 1e-3], [64, 0.0], [128, 0.0]])
     entry = cli.evaluate_tolerances({"decrease_factor_min": 2.0},
-                                    ["n", "max_interior_error"],
-                                    table)["decrease_factor_min"]
+                                    ["n", "max_interior_error"], table,
+                                    "max_interior_error")["decrease_factor_min"]
     assert entry == {"bound": 2.0, "value": 10.0, "pass": True}
 
 
@@ -182,6 +195,34 @@ def test_decrease_factor_min_without_error_column_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "needs an error column" in err
     assert "(field: decrease_factor_min)" in err
+
+
+@pytest.mark.parametrize("name, key, bound, message", [
+    ("dirichlet_ramp.json", "bvp_residal_max", 1e-8, "names no CSV column"),
+    ("op_apply_halfint.json", "decrease_factor_min", 2.0,
+     "needs an error column"),
+    ("op_apply_halfint.json", "order_est_range", [1, 2],
+     "names no CSV column"),
+])
+def test_bad_tolerance_key_fails_before_any_runner(tmp_path, capsys,
+                                                   monkeypatch, name, key,
+                                                   bound, message):
+    # The keys are checked against the command's header before the sweep:
+    # exit 1 with the message, no runner call and no CSV.
+    payload = load_payload(name)
+    payload["tolerances"][key] = bound
+    command = payload["command"]
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda p, grid: calls.append(grid),)
+                        + cli._COMMANDS[command][1:])
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert f"(field: {key})" in err
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

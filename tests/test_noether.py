@@ -151,6 +151,31 @@ class TestChainIdentity:
         assert defect == float(np.max(np.abs(noe - inv
                                              + np.sum(xi * el, axis=0))))
 
+    @pytest.mark.parametrize("cells", [(16,), (8, 6), (6, 5, 7)],
+                             ids=lambda c: "x".join(map(str, c)))
+    def test_builds_fields_only_at_the_boundary(self, cells, monkeypatch):
+        # Intermediates stay arrays: a chain builds the generator sample and
+        # its three residuals, an el_residual only its result.
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0, n) for n in cells))
+        d = grid.ndim
+        spec = ProblemSpec(grid, integral_coupling_lagrangian(d, 2),
+                           [MIX] * d, [LEFT] * d, [0.4] * d, [0.6] * d,
+                           [rl_kernel()] * d, [rl_kernel()] * d)
+        u = Field(grid, np.random.default_rng(3).standard_normal(
+            (2,) + grid.shape))
+        built = []
+        post_init = Field.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        chain_identity_residual(spec, u, TRANSLATION)
+        assert len(built) <= 4
+        built.clear()
+        el_residual(spec, u)
+        assert len(built) == 1
+
     def test_closes_for_K_block_lagrangian(self):
         spec = spec_1d(48, integral_coupling_lagrangian(1))
         u = smooth_field(spec.grid, seed=21)

@@ -621,6 +621,39 @@ class TestMatrixFree:
         assert peak < 4 * 2 ** 20
 
 
+    # Along the long axis of (30, 3, 4) and its turns, and along axis 0 of
+    # (8, 6) and (24, 20), one component takes the FFT product; two
+    # components and every other axis take the dense one.
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("cells", [(8, 6), (6, 8), (24, 20), (40, 40),
+                                       (30, 3, 4), (3, 30, 4), (4, 3, 30),
+                                       (12, 10, 14)],
+                             ids=lambda c: "x".join(map(str, c)))
+    @pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+    def test_products_do_not_depend_on_layout(self, kind, cells, N):
+        # C-order values, F-order values and a strided view of the same
+        # values give the same bits along every axis, forward and
+        # transposed, in toeplitz_along_axis and the private operator pair.
+        shape = (N,) + tuple(n + 1 for n in cells)
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = x
+        layouts = [np.asfortranarray(x), wide[..., ::2]]
+        pset = ParamSet(0.0, 1.0, 0.6, 0.4)
+        for axis, n in enumerate(cells):
+            plan = make_plan(kind, 0.4, pset, rl_kernel(),
+                             make_uniform_grid(0.0, 1.0, n), axis=axis)
+            products = (
+                lambda v: operators.toeplitz_along_axis(plan, v),
+                lambda v: operators.toeplitz_along_axis(plan, v, True),
+                lambda v: operators._apply(plan, v),
+                lambda v: operators._adjoint(plan, v, negate=True))
+            for product in products:
+                want = product(x)
+                for y in layouts:
+                    np.testing.assert_array_equal(product(y), want)
+
+
 def _tensordot_along_axis(M, values, axis):
     """The tensordot-and-moveaxis form of a matrix on every line along
     axis (component axis 0 excluded)."""

@@ -146,20 +146,28 @@ class TestElResidual:
         pairing = volume_integral(Field(grid, eta.data * el.data))
         assert fd == pytest.approx(pairing, rel=1e-8)
 
-    def test_quadratic_energy_el_is_minus_twice_bvp(self):
+    # 8x6 mixes the FFT and dense products; 40x40 takes the dense product
+    # on every axis.
+    @pytest.mark.parametrize("cells", [(64,), (16,), (8, 6), (6, 8), (24, 20),
+                                       (20, 24), (40, 40), (12, 10, 14),
+                                       (14, 10, 12)],
+                             ids=lambda c: "x".join(map(str, c)))
+    def test_quadratic_energy_el_is_minus_twice_bvp(self, cells):
         # For F = |v|^2 the first-variation density equals -2x the strong
         # BVP residual; the shared transpose realization makes the relation
-        # exact in floating point.
-        grid = grid_1d(0.0, 1.0, 64)
-        t = grid.axes[0].nodes
-        u = Field(grid, np.sin(np.pi * t) + t)
+        # exact in floating point, on every grid.
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0, n) for n in cells))
+        d = grid.ndim
+        u = Field(grid, np.random.default_rng(11).standard_normal(grid.shape))
         pset, alpha = ParamSet(0.0, 1.0, 0.6, 0.4), 0.4
-        spec = ProblemSpec(grid, dirichlet_energy_lagrangian(1), [pset],
-                           [LEFT], [alpha], [0.5], [rl_kernel()], [rl_kernel()])
-        dspec = DirichletSpec(grid, [pset], [alpha], [rl_kernel()], u)
+        spec = ProblemSpec(grid, dirichlet_energy_lagrangian(d), [pset] * d,
+                           [LEFT] * d, [alpha] * d, [0.5] * d,
+                           [rl_kernel()] * d, [rl_kernel()] * d)
+        dspec = DirichletSpec(grid, [pset] * d, [alpha] * d,
+                              [rl_kernel()] * d, u)
         el = el_residual(spec, u).values
         bvp = bvp_residual(dspec, u).values
-        assert np.max(np.abs(el + 2.0 * bvp)) <= 1e-12
+        assert np.array_equal(el, -2.0 * bvp)
 
     def test_integral_coupling_uses_dual_K(self):
         # For F = u . w the density is K_{P*} u + K_P u appearing through
