@@ -9,11 +9,13 @@ runner, the CSV columns and the error column, so every tolerance key is
 checked against the header before the sweep runs.  The result is one float
 table: a CSV (``%.17g`` cells, LF line endings) and a
 ``<output>.summary.json`` with pass/fail per declared tolerance.  The CSV is
-streamed to disk in chunks of rows, and a column that repeats its values
-(grid coordinates always do) has each distinct value formatted once.  Exit
-codes: 0 all tolerances pass, 2 a tolerance failed, 1 configuration,
-runtime or output error.  Output goes to --output-dir, else
-$FRACVAR_OUTPUT_DIR, else the config file's directory.
+streamed to disk in chunks of rows.  Each chunk is the row-major join of
+per-column cell strings that already end in their separator: a column that
+repeats its values (grid coordinates always do) formats each distinct value
+once and gathers the strings, any other column is formatted by one ``%``
+call per chunk.  Exit codes: 0 all tolerances pass, 2 a tolerance failed,
+1 configuration, runtime or output error.  Output goes to --output-dir,
+else $FRACVAR_OUTPUT_DIR, else the config file's directory.
 """
 
 from __future__ import annotations
@@ -275,10 +277,12 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracvar-")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        # The file object owns the descriptor from here, so it is closed
+        # whatever raises below.
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -287,7 +291,8 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-# Rows formatted per string-formatting call, which bounds the writer's memory.
+# Rows per CSV chunk: each chunk is built and joined on its own, which bounds
+# the writer's memory.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -306,30 +311,40 @@ def _distinct_cells(column: np.ndarray
 
 
 def _csv_chunks(header: list[str], table: np.ndarray) -> Iterator[str]:
-    """The header line, then the body in chunks of _CSV_CHUNK_ROWS lines."""
+    """The header line, then the body in chunks of _CSV_CHUNK_ROWS lines.
+    Each column of a chunk is a column of cell strings that end in their
+    separator, "," or (last column) "\\n"; the chunk is their row-major
+    join."""
     yield ",".join(header) + "\n"
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
-    distinct = [_distinct_cells(table[:, j]) for j in range(cols)]
-    row_format = ",".join("%.17g" if d is None else "%s"
-                          for d in distinct) + "\n"
+    seps = [","] * (cols - 1) + ["\n"]
+    distinct = []
+    for j in range(cols):
+        d = _distinct_cells(table[:, j])
+        # A repeating column gets its separator once per distinct string.
+        distinct.append(None if d is None else (d[0] + seps[j], d[1]))
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, rows)
         chunk = np.empty((stop - start, cols), dtype=object)
         for j, d in enumerate(distinct):
             if d is None:
-                chunk[:, j] = table[start:stop, j]
+                # One % call per column; "\0" never occurs in a %.17g cell.
+                cells = ("%.17g" + seps[j] + "\0") * (stop - start)
+                chunk[:, j] = (cells % tuple(table[start:stop, j].tolist())
+                               ).split("\0")[:-1]
             else:
                 strings, inverse = d
                 chunk[:, j] = strings[inverse[start:stop]]
-        yield (row_format * (stop - start)) % tuple(chunk.ravel().tolist())
+        yield "".join(chunk.ravel().tolist())
 
 
 def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per table row with every cell ``%.17g``
     (integers below 2**53 print without a decimal point); LF line endings.
-    The body is streamed in chunks of rows, and a column that repeats its
-    values formats each distinct value once."""
+    The body is streamed in chunks of rows, each the join of per-column cell
+    strings; a column that repeats its values formats each distinct value
+    once."""
     _atomic_write(path, _csv_chunks(header, table))
 
 

@@ -7,11 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracvar
 from fracvar import cli, config, variational
@@ -491,6 +495,71 @@ def test_write_csv_half_distinct_threshold(tmp_path):
     assert path.read_bytes() == reference_csv(header, table.tolist())
 
 
+def test_write_csv_zero_rows_writes_header_only(tmp_path):
+    header = ["t1", "value"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, np.empty((0, 2)))
+    assert path.read_bytes() == b"t1,value\n" == reference_csv(header, [])
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeated", "inline"])
+def test_write_csv_one_column(tmp_path, repeats):
+    rows = 2 * CHUNK + 3
+    column = (np.resize(np.array(SPECIALS), rows) if repeats
+              else np.random.default_rng(5).standard_normal(rows))
+    assert (cli._distinct_cells(column) is not None) == repeats
+    table = column[:, np.newaxis]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), ["value"], table)
+    assert path.read_bytes() == reference_csv(["value"], table.tolist())
+
+
+def test_write_csv_repeated_column_after_inline_one(tmp_path):
+    rows = CHUNK + 5
+    inline = np.random.default_rng(6).standard_normal(rows)
+    repeated = np.resize(np.array(SPECIALS), rows)
+    table = np.column_stack([inline, repeated, inline, repeated])
+    assert cli._distinct_cells(inline) is None
+    assert cli._distinct_cells(repeated) is not None
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
+CELLS = st.sampled_from(SPECIALS) | st.floats()
+
+
+@st.composite
+def csv_tables(draw):
+    """A float table of 0 to 40 rows whose columns either repeat a few
+    values or draw every cell anew."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            pool = draw(st.lists(CELLS, min_size=1, max_size=4))
+            picks = st.integers(0, len(pool) - 1)
+            columns.append([pool[i] for i in draw(
+                st.lists(picks, min_size=rows, max_size=rows))])
+        else:
+            columns.append(draw(st.lists(CELLS, min_size=rows,
+                                         max_size=rows)))
+    return np.array(columns, dtype=float).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=csv_tables(), chunk_rows=st.integers(1, 7))
+def test_write_csv_matches_reference_on_any_table(table, chunk_rows):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    # Small chunks, so that rows cross chunk boundaries.
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), \
+            tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "t.csv"
+        cli.write_csv(str(path), header, table)
+        assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
 def test_write_csv_memory_is_bounded(tmp_path):
     # A 49^3-node op-apply table: three coordinate columns and two values.
     # Formatting the whole body in one string peaks at about 31 MB.
@@ -508,6 +577,34 @@ def test_write_csv_memory_is_bounded(tmp_path):
     assert peak < 16e6
     with open(tmp_path / "t.csv", encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == len(table) + 1
+
+
+def test_atomic_write_closes_descriptor_when_chmod_fails(tmp_path,
+                                                        monkeypatch):
+    opened = []
+    mkstemp = tempfile.mkstemp
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, name = mkstemp(*args, **kwargs)
+        opened.append((fd, os.fstat(fd)))
+        return fd, name
+
+    def failing_chmod(*args, **kwargs):
+        raise OSError("chmod refused")
+
+    monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+    monkeypatch.setattr(os, "chmod", failing_chmod)
+    with pytest.raises(OSError, match="chmod refused"):
+        cli._atomic_write(str(tmp_path / "t.csv"), ["a\n"])
+    [(fd, made)] = opened
+    # The descriptor is closed, or its number now names another file.
+    try:
+        now = os.fstat(fd)
+    except OSError:
+        pass
+    else:
+        assert (now.st_dev, now.st_ino) != (made.st_dev, made.st_ino)
+    assert not list(tmp_path.iterdir())
 
 
 def test_failed_stream_leaves_existing_csv(tmp_path, monkeypatch, capsys):
