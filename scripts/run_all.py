@@ -2,8 +2,9 @@
 """Run every experiment config under configs/ and summarize pass/fail.
 
 Usage: python3 scripts/run_all.py [--output-dir DIR] [--jobs N]
-Exit status is the worst per-config status (0 pass, 2 tolerance failure,
-1 error).
+Exit status is the worst per-config status, in the order 0 (pass),
+2 (tolerance failure), 1 (error): one config that cannot run outranks any
+number of failed tolerances.
 """
 
 import argparse
@@ -11,6 +12,9 @@ import pathlib
 import sys
 
 from fracvar.cli import run
+
+# Exit statuses from best to worst.
+_RANK = (0, 2, 1)
 
 
 def main() -> int:
@@ -33,7 +37,7 @@ def main() -> int:
     for path in paths:
         print(f"=== {path.name}")
         status = run(str(path), output_dir=args.output_dir, jobs=args.jobs)
-        worst = max(worst, status)
+        worst = max(worst, status, key=_RANK.index)
     print(f"=== {len(paths)} configs, worst status {worst}")
     return worst
 

@@ -10,10 +10,14 @@ checked against the header before the sweep runs.  The result is one float
 table: a CSV (``%.17g`` cells, LF line endings) and a
 ``<output>.summary.json`` with pass/fail per declared tolerance.  The CSV is
 streamed to disk in chunks of rows.  Each chunk is the row-major join of
-per-column cell strings that already end in their separator: a column that
-repeats its values (grid coordinates always do) formats each distinct value
-once and gathers the strings, any other column is formatted by one ``%``
-call per chunk.  Exit codes: 0 all tolerances pass, 2 a tolerance failed,
+cell strings that already end in their separator.  A column that repeats
+its values (grid coordinates always do; found by sorting its bits) formats
+each distinct value once and gathers the strings; a run of adjacent such
+columns with few enough value combinations is gathered as one fused cell.
+Any other column is formatted by one ``%`` call per chunk.  op-apply builds
+its table column-major, so the writer reads each column contiguously.  The
+summary also records the wall seconds of the load, run and write phases.
+Exit codes: 0 all tolerances pass, 2 a tolerance failed,
 1 configuration, runtime or output error.  Output goes to --output-dir,
 else $FRACVAR_OUTPUT_DIR, else the config file's directory.
 """
@@ -27,6 +31,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -76,14 +81,18 @@ def _apply_configured_op(p: Problem, grid: GridND, fn: Callable) -> Field:
 
 
 def _run_op_apply(p: Problem, grid: GridND) -> np.ndarray:
-    out = _apply_configured_op(p, grid, p.field)
-    # C order of the raveled arrays: one row per node, last axis fastest.
-    mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
-    columns = [m.ravel() for m in mesh] + [out.values[0].ravel()]
+    value = _apply_configured_op(p, grid, p.field).values[0]
+    coords = grid.coords()
+    # Column-major: each column is contiguous for the CSV writer.  Every
+    # column holds the nodes in C order, one row per node, last axis fastest.
+    table = np.empty((grid.ndim + 1 + (p.oracle is not None), value.size))
+    columns = [col.reshape(grid.shape) for col in table]
+    for col, c in zip(columns, coords + [value]):
+        col[...] = c
     if p.oracle is not None:
-        oracle = np.asarray(p.oracle(grid.coords()), dtype=float)
-        columns.append(np.abs(out.values[0] - oracle).ravel())
-    return np.column_stack(columns)
+        oracle = np.asarray(p.oracle(coords), dtype=float)
+        np.abs(np.subtract(value, oracle, out=columns[-1]), out=columns[-1])
+    return table.T
 
 
 def _run_ibp_check(p: Problem, grid: GridND) -> list[list]:
@@ -300,51 +309,87 @@ def _distinct_cells(column: np.ndarray
                     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(strings, inverse) with strings[inverse] the ``%.17g`` cells of a
     float64 column, when it has at most half as many distinct bit patterns
-    (0.0 and -0.0 stay apart) as rows; else None, for inline formatting."""
-    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    if 2 * len(distinct) > len(column):
+    (0.0 and -0.0 stay apart) as rows; else None, for inline formatting.
+    The distinct patterns come from a sort of the bits and a comparison of
+    neighbours, the inverse from a binary search in them."""
+    bits = column.view(np.uint64)
+    ordered = np.sort(bits)
+    # A sorted pattern that differs from its predecessor is a new one.
+    new = ordered[1:] != ordered[:-1]
+    count = int(np.count_nonzero(new)) + (len(ordered) > 0)
+    if 2 * count > len(column):
         return None
+    distinct = np.concatenate([ordered[:1], ordered[1:][new]])
+    inverse = np.searchsorted(distinct, bits)
     values = distinct.view(np.float64).tolist()
     strings = np.array(["%.17g" % v for v in values], dtype=object)
     # The narrowest index type keeps the writer's resident memory low.
-    return strings, inverse.astype(np.min_scalar_type(len(distinct)))
+    return strings, inverse.astype(np.min_scalar_type(count))
+
+
+def _row_cells(table: np.ndarray
+               ) -> list[tuple[int, int, Optional[tuple[np.ndarray,
+                                                        np.ndarray]]]]:
+    """The cells of a table row, left to right, as (start, stop, cells)
+    over the columns start:stop.  cells is None for one inline column.
+    Otherwise it is (strings, index) for a run of adjacent repeating
+    columns: strings[index] are the run's cells, each ending in its
+    separator, "," or (last column) "\\n".  A run grows while the product
+    of its columns' distinct counts stays at most half the rows, the rule
+    of _distinct_cells; its strings are the outer concatenation of its
+    columns' strings and its index their indices in mixed radix."""
+    rows, cols = table.shape
+    cells = []
+    for j in range(cols):
+        d = _distinct_cells(table[:, j])
+        if d is None:
+            cells.append((j, j + 1, None))
+            continue
+        strings, inverse = d[0] + ("," if j < cols - 1 else "\n"), d[1]
+        if cells and cells[-1][2] is not None:
+            start, _, (run_strings, run_index) = cells[-1]
+            if 2 * len(run_strings) * len(strings) <= rows:
+                fused = np.add.outer(run_strings, strings).ravel()
+                index = (run_index.astype(np.intp) * len(strings)
+                         + inverse).astype(np.min_scalar_type(len(fused)))
+                cells[-1] = (start, j + 1, (fused, index))
+                continue
+        cells.append((j, j + 1, (strings, inverse)))
+    return cells
 
 
 def _csv_chunks(header: list[str], table: np.ndarray) -> Iterator[str]:
     """The header line, then the body in chunks of _CSV_CHUNK_ROWS lines.
-    Each column of a chunk is a column of cell strings that end in their
-    separator, "," or (last column) "\\n"; the chunk is their row-major
-    join."""
+    A chunk is the row-major join of the cells of _row_cells: a repeating
+    run is gathered from its strings, an inline column is formatted by one
+    ``%`` call per chunk."""
     yield ",".join(header) + "\n"
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
-    seps = [","] * (cols - 1) + ["\n"]
-    distinct = []
-    for j in range(cols):
-        d = _distinct_cells(table[:, j])
-        # A repeating column gets its separator once per distinct string.
-        distinct.append(None if d is None else (d[0] + seps[j], d[1]))
+    cells = _row_cells(table)
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, rows)
-        chunk = np.empty((stop - start, cols), dtype=object)
-        for j, d in enumerate(distinct):
+        chunk = np.empty((stop - start, len(cells)), dtype=object)
+        for k, (j, _, d) in enumerate(cells):
             if d is None:
                 # One % call per column; "\0" never occurs in a %.17g cell.
-                cells = ("%.17g" + seps[j] + "\0") * (stop - start)
-                chunk[:, j] = (cells % tuple(table[start:stop, j].tolist())
+                sep = "," if j < cols - 1 else "\n"
+                cell = ("%.17g" + sep + "\0") * (stop - start)
+                chunk[:, k] = (cell % tuple(table[start:stop, j].tolist())
                                ).split("\0")[:-1]
             else:
-                strings, inverse = d
-                chunk[:, j] = strings[inverse[start:stop]]
+                strings, index = d
+                chunk[:, k] = strings[index[start:stop]]
         yield "".join(chunk.ravel().tolist())
 
 
 def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """Header line, then one line per table row with every cell ``%.17g``
     (integers below 2**53 print without a decimal point); LF line endings.
-    The body is streamed in chunks of rows, each the join of per-column cell
-    strings; a column that repeats its values formats each distinct value
-    once."""
+    The body is streamed in chunks of rows, each the join of cell strings; a
+    column that repeats its values formats each distinct value once, and
+    adjacent repeating columns may share one fused cell (_row_cells).  Any
+    table layout is accepted; a column-major one is read contiguously."""
     _atomic_write(path, _csv_chunks(header, table))
 
 
@@ -373,31 +418,40 @@ def resolve_output_dir(config_path: str, override: Optional[str]) -> str:
 def run(config_path: str, output_dir: Optional[str] = None,
         jobs: int = 1) -> int:
     """Execute one config; returns the process exit code."""
+    started = time.perf_counter()
     try:
         cfg = load_config(config_path)
         error_column = _COMMANDS[cfg.command][2]
         # Every tolerance key must name a column before the sweep runs.
         _tolerance_columns(cfg.tolerances, _header(cfg), error_column)
+        loaded = time.perf_counter()
         header, table = run_experiment(cfg, jobs=jobs)
         report = evaluate_tolerances(cfg.tolerances, header, table,
                                      error_column)
     except FracvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    csv_path = os.path.join(resolve_output_dir(config_path, output_dir),
-                            cfg.output_path)
+    ran = time.perf_counter()
+    # One normalized path serves the directory, the CSV, the summary and
+    # the printed line, so "sub/../x.csv" needs no directory "sub".
+    csv_path = os.path.normpath(os.path.join(
+        resolve_output_dir(config_path, output_dir), cfg.output_path))
     passed = all(entry["pass"] for entry in report.values())
-    summary = {
-        "command": cfg.command,
-        "config": os.path.abspath(config_path),
-        "csv": os.path.abspath(csv_path),
-        "rows": len(table),
-        "tolerances": report,
-        "pass": passed,
-    }
     try:
         os.makedirs(os.path.dirname(os.path.abspath(csv_path)), exist_ok=True)
         write_csv(csv_path, header, table)
+        summary = {
+            "command": cfg.command,
+            "config": os.path.abspath(config_path),
+            "csv": os.path.abspath(csv_path),
+            "rows": len(table),
+            "tolerances": report,
+            "pass": passed,
+            # Wall seconds per phase; "write" is the CSV, the summary
+            # itself is written after it.
+            "seconds": {"load": loaded - started, "run": ran - loaded,
+                        "write": time.perf_counter() - ran},
+        }
         _atomic_write(os.path.splitext(csv_path)[0] + ".summary.json",
                       [json.dumps(_finite_json(summary), indent=2,
                                   sort_keys=True, allow_nan=False) + "\n"])

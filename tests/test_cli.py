@@ -349,6 +349,22 @@ def test_output_path_may_contain_subdirectory(tmp_path):
     assert (tmp_path / "results" / "op.csv").is_file()
 
 
+def test_output_path_may_step_out_of_a_missing_directory(tmp_path, capsys):
+    # "missing" never exists: the path is normalized before it is used.
+    payload = load_payload("op_apply_halfint.json")
+    payload["output_path"] = "missing/../results/op.csv"
+    cfg = write_payload(tmp_path, payload)
+    assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+    csv_path = tmp_path / "results" / "op.csv"
+    assert csv_path.is_file()
+    assert csv_path.with_suffix(".summary.json").is_file()
+    assert not (tmp_path / "missing").exists()
+    summary = json.loads(csv_path.with_suffix(".summary.json").read_text(
+        encoding="utf-8"))
+    assert summary["csv"] == str(csv_path)
+    assert capsys.readouterr().out.endswith(f" -> {csv_path} [pass]\n")
+
+
 def test_main_parses_arguments(tmp_path):
     payload = load_payload("op_apply_halfint.json")
     cfg = write_payload(tmp_path, payload)
@@ -366,7 +382,19 @@ def test_summary_reports_absolute_paths(tmp_path):
     assert os.path.isabs(summary["config"])
     assert os.path.isabs(summary["csv"])
     assert set(summary) == {"command", "config", "csv", "rows",
-                            "tolerances", "pass"}
+                            "tolerances", "pass", "seconds"}
+
+
+def test_summary_reports_phase_seconds(tmp_path):
+    payload = load_payload("op_apply_halfint.json")
+    cfg = write_payload(tmp_path, payload)
+    assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+    _, summary_path = outputs(tmp_path, payload)
+    seconds = json.loads(summary_path.read_text(encoding="utf-8"))["seconds"]
+    assert set(seconds) == {"load", "run", "write"}
+    for value in seconds.values():
+        assert isinstance(value, float)
+        assert math.isfinite(value) and value >= 0.0
 
 
 def test_output_files_follow_umask(tmp_path):
@@ -427,6 +455,10 @@ def test_op_apply_3d_csv_matches_node_loop(tmp_path, sweep):
         payload["sweep"] = sweep
     cfg = write_payload(tmp_path, payload)
     assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+
+    # The table is column-major, so the writer reads each column
+    # contiguously, over a sweep too.
+    assert cli.run_experiment(load_config(cfg))[1].flags.f_contiguous
 
     # The per-node loop the table replaced: C order, last axis fastest.
     problem = load_config(cfg).problem
@@ -495,6 +527,44 @@ def test_write_csv_half_distinct_threshold(tmp_path):
     assert path.read_bytes() == reference_csv(header, table.tolist())
 
 
+def repeating_column(distinct, rows):
+    """A column cycling through `distinct` values, specials first."""
+    pool = np.concatenate([SPECIALS, 7.0 + 0.1 * np.arange(distinct)])
+    return np.resize(pool[:distinct], rows)
+
+
+# Rows of the fused-run cases: rows / 2 = 4500 = 45 * 100 = 9 * 10 * 50, and
+# the body spans three chunks.
+FUSE_ROWS = 9000
+
+
+@pytest.mark.parametrize("distinct, runs", [
+    ([45, 100], [(0, 2)]),
+    ([7, 643], [(0, 1), (1, 2)]),
+    ([9, 10, 50], [(0, 3)]),
+    ([9, 10, 51], [(0, 2), (2, 3)]),
+    ([45, None, 100], [(0, 1), (1, 2), (2, 3)]),
+    ([None, 45, 100, None, 3, 2], [(0, 1), (1, 3), (3, 4), (4, 6)]),
+], ids=["at-half", "one-above-half", "three-at-half", "three-above-half",
+        "inline-between", "mixed"])
+def test_write_csv_fused_run_threshold(tmp_path, distinct, runs):
+    # A run of adjacent repeating columns is one cell while the product of
+    # their distinct counts is at most rows / 2; an inline column ends it.
+    assert FUSE_ROWS > 2 * CHUNK
+    rng = np.random.default_rng(7)
+    table = np.column_stack([
+        rng.standard_normal(FUSE_ROWS) if k is None
+        else repeating_column(k, FUSE_ROWS) for k in distinct])
+    for j, k in enumerate(distinct):
+        d = cli._distinct_cells(table[:, j])
+        assert (d is None) if k is None else len(d[0]) == k
+    assert [cells[:2] for cells in cli._row_cells(table)] == runs
+    header = [f"c{j}" for j in range(len(distinct))]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
 def test_write_csv_zero_rows_writes_header_only(tmp_path):
     header = ["t1", "value"]
     path = tmp_path / "t.csv"
@@ -548,10 +618,24 @@ def csv_tables(draw):
     return np.array(columns, dtype=float).T
 
 
+def laid_out(table, layout):
+    """table in C order, column-major, or as a strided view of every
+    other column of a wider table."""
+    if layout == "C":
+        return np.ascontiguousarray(table)
+    if layout == "F":
+        return np.asfortranarray(table)
+    wide = np.full((table.shape[0], 2 * table.shape[1] + 1), 0.5)
+    wide[:, 1::2] = table
+    return wide[:, 1::2]
+
+
 @settings(max_examples=100, deadline=None)
-@given(table=csv_tables(), chunk_rows=st.integers(1, 7))
-def test_write_csv_matches_reference_on_any_table(table, chunk_rows):
+@given(table=csv_tables(), chunk_rows=st.integers(1, 7),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_write_csv_matches_reference_on_any_table(table, chunk_rows, layout):
     header = [f"c{j}" for j in range(table.shape[1])]
+    table = laid_out(table, layout)
     # Small chunks, so that rows cross chunk boundaries.
     with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), \
             tempfile.TemporaryDirectory() as directory:
@@ -560,13 +644,16 @@ def test_write_csv_matches_reference_on_any_table(table, chunk_rows):
         assert path.read_bytes() == reference_csv(header, table.tolist())
 
 
-def test_write_csv_memory_is_bounded(tmp_path):
-    # A 49^3-node op-apply table: three coordinate columns and two values.
-    # Formatting the whole body in one string peaks at about 31 MB.
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_write_csv_memory_is_bounded(tmp_path, layout):
+    # A 49^3-node op-apply table: three coordinate columns and two values,
+    # in C order or column-major as op-apply builds it.  Formatting the
+    # whole body in one string peaks at about 31 MB.
     nodes = np.linspace(0.0, 1.125, 49)
     mesh = [m.ravel() for m in np.meshgrid(nodes, nodes, nodes, indexing="ij")]
     value = np.sin(mesh[0] + 2.0 * mesh[1]) * np.exp(mesh[2])
-    table = np.column_stack(mesh + [value, np.abs(value - 0.5)])
+    table = laid_out(np.column_stack(mesh + [value, np.abs(value - 0.5)]),
+                     layout)
     tracemalloc.start()
     try:
         cli.write_csv(str(tmp_path / "t.csv"), ["t1", "t2", "t3", "value",
