@@ -14,9 +14,14 @@ cell strings that already end in their separator.  A column that repeats
 its values (grid coordinates always do; found by sorting its bits) formats
 each distinct value once and gathers the strings; a run of adjacent such
 columns with few enough value combinations is gathered as one fused cell.
-Any other column is formatted by one ``%`` call per chunk.  op-apply builds
-its table column-major, so the writer reads each column contiguously.  The
-summary also records the wall seconds of the load, run and write phases.
+Any other column is formatted per chunk by _format_cells: exactly as
+``%.17g``, by integer arithmetic on arrays, for 2**-32 <= |v| < 2**51 (17
+digits from the significand times a power of five, shifted and rounded half
+to even with an exact remainder); by ``%`` for the other values and for
+chunks of fewer than _FORMAT_MIN_ROWS rows.  op-apply builds its table
+column-major, so the writer reads each column contiguously.  The summary
+also records the wall seconds of the load, run and write phases and the
+fracvar, numpy and Python versions.
 Exit codes: 0 all tolerances pass, 2 a tolerance failed,
 1 configuration, runtime or output error.  Output goes to --output-dir,
 else $FRACVAR_OUTPUT_DIR, else the config file's directory.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -36,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .config import ExperimentConfig, Problem, load_config
 from .dirichlet import DirichletSpec, bvp_residual, energy, minimize_energy
 from .errors import ConfigError, FracvarError
@@ -205,7 +212,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
             results = list(pool.map(lambda g: runner(problem, g), grids))
     else:
         results = [runner(problem, grid) for grid in grids]
-    table = np.concatenate(results, dtype=float)
+    # One size: the runner's table as it is (op-apply's is column-major and
+    # can be megabytes); a sweep stacks the sizes' rows.
+    table = (np.asarray(results[0], dtype=float) if len(results) == 1
+             else np.concatenate(results, dtype=float))
     if error_column is not None:
         # These commands give one row per size.
         errs = table[:, columns(problem).index(error_column)].tolist()
@@ -304,6 +314,156 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 # the writer's memory.
 _CSV_CHUNK_ROWS = 4096
 
+# Inline cells of a chunk column with fewer rows than this are formatted by
+# one % call: below about 400 rows the fixed cost of _format_cells's array
+# calls (about 0.1 ms) exceeds what it saves.
+_FORMAT_MIN_ROWS = 512
+
+# _format_cells formats 2**-32 <= |v| < 2**51 by arrays.  There the decimal
+# exponent X (10**X <= |v| < 10**(X + 1)) is in -10..15, and the shift s of
+# _round_shifted is in 1..58 (checked at every power of two and of ten).
+_FAST_RANGE = (2.0**-32, 2.0**51)
+_EXPONENTS = range(-10, 16)
+# Tables of _format_cells.  A uint64 word holds up to eight bytes of a cell,
+# the first one lowest, as little-endian memory stores them; a zero byte is
+# dropped after formatting, so it may sit anywhere.
+_U64 = np.uint64
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+def _ceil_pow10(x: int) -> float:
+    """The least double >= 10**x."""
+    d = float(f"1e{x}")
+    num, den = d.as_integer_ratio()
+    below = num * 10**max(-x, 0) < den * 10**max(x, 0)
+    return math.nextafter(d, math.inf) if below else d
+
+
+# |v| has decimal exponent X when _POW10[X + 10] <= |v| < _POW10[X + 11].
+_POW10 = np.array([_ceil_pow10(x) for x in range(-10, 17)])
+# 5**k and 10.0**k for k = 16 - X, 1..26.
+_POW5 = np.array([5**k for k in range(27)], dtype=np.uint64)
+_POW10F = np.array([float(10**k) for k in range(27)])
+# _LOW_BYTES[c] selects the lowest c bytes of a word, c = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype=np.uint64)
+# Per X in _EXPONENTS: the digits before the point (X + 1 for X >= 0, one
+# before an exponent, none after "0."), the "0" of "0.000ddd" (byte 1 of
+# word 0), the zeros after its point (bytes 1..3 of word 3) and the "e-XX"
+# of the exponent notation (word 6).
+_POINT = np.array([x + 1 if x >= 0 else int(x < -4) for x in _EXPONENTS])
+_LEAD = np.array([_word("\0" + "0" * (-4 <= x < 0)) for x in _EXPONENTS],
+                 dtype=np.uint64)
+_AFTER_POINT = np.array([_word("\0" + "0" * (-x - 1) * (-4 <= x < 0))
+                         for x in _EXPONENTS], dtype=np.uint64)
+_EXPONENT = np.array([_word("e-%02d" % -x if x < -4 else "")
+                      for x in _EXPONENTS], dtype=np.uint64)
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The digits of 0..9999 as four bytes of values 0..9, the most
+    significant digit lowest; built on first use, which keeps it out of
+    the import."""
+    i = np.arange(10000, dtype=np.uint64)
+    return (i // _U64(1000) | i // _U64(100) % _U64(10) << _U64(8)
+            | i // _U64(10) % _U64(10) << _U64(16) | i % _U64(10) << _U64(24))
+
+
+def _round_shifted(mag: np.ndarray, m: np.ndarray, k: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """mag * 10**k = m * 5**k / 2**s rounded half to even, for m < 2**53,
+    k in 0..26, s in 1..58 and a result below 2**57.  The float product
+    is within 24 of the exact value, so the exact remainder
+    m * 5**k - q * 2**s of its integer part q fits in 64 bits and is
+    computed modulo 2**64."""
+    q = (mag * _POW10F[k]).astype(np.uint64)
+    d = m * _POW5[k] - (q << s)
+    # floor(d / 2**s) corrects q; the low s bits of d are what is left.
+    q += (d.view(np.int64) >> s.view(np.int64)).view(np.uint64)
+    rest = d & ((_U64(1) << s) - _U64(1))
+    half = _U64(1) << (s - _U64(1))
+    return q + ((rest > half) | ((rest == half) & (q & _U64(1) == 1)))
+
+
+def _format_cells(values: np.ndarray, sep: str) -> list[str]:
+    """["%.17g" % v + sep for v in values] for a float64 column, exactly.
+
+    Fewer than _FORMAT_MIN_ROWS values take one % call.  Otherwise every
+    v with 2**-32 <= |v| < 2**51 is formatted by integer arithmetic on
+    arrays.  Its decimal exponent X comes from log10, corrected against
+    the least doubles >= 10**X.  With |v| = m * 2**(e - 53), m < 2**53, its
+    17 significant digits are F = |v| * 10**(16 - X) = m * 5**(16 - X) /
+    2**s, s = 53 - e - (16 - X), rounded half to even (_round_shifted).
+    The cell follows the %g rules: fixed notation for -4 <= X <= 16, else
+    d.ddde-XX, trailing zeros and a bare point removed.  Each cell is laid
+    out in seven words with zero bytes in unused places, which the join
+    drops.  Every other value (0, -0, nan, inf, subnormal, outside that
+    range) is formatted by %."""
+    n = len(values)
+    if n < _FORMAT_MIN_ROWS:
+        return (("%.17g" + sep + "\0") * n % tuple(values.tolist())
+                ).split("\0")[:-1]
+    mag = np.abs(values)
+    # False for nan too.
+    fast = (mag >= _FAST_RANGE[0]) & (mag < _FAST_RANGE[1])
+    mag = np.where(fast, mag, 1.0)
+    # The decimal exponent: numpy's log10 may be an ulp off either way, so
+    # floor(log10) is within one of it; _POW10 decides.
+    x = np.clip(np.floor(np.log10(mag)).astype(np.intp), -10, 15)
+    x += mag >= _POW10[x + 11]
+    x -= mag < _POW10[x + 10]
+    fraction, e = np.frexp(mag)
+    k = 16 - x
+    q = _round_shifted(mag, (fraction * 2.0**53).astype(np.uint64), k,
+                       (53 - e - k).astype(np.uint64))
+    # No double in the range rounds up to 10**17 (checked next to every
+    # power of ten); were one to, it would fall back to % too.
+    fast &= q < _U64(10**17)
+    # Rows left to % are laid out as "1" meanwhile, so every row gives one
+    # cell.
+    q = np.where(fast, q, _U64(10**16))
+    x += 10
+    # The first digit, and words of digits 1..8 and 9..16.
+    first = q // _U64(10**16)
+    rest = q - first * _U64(10**16)
+    eight = np.empty((2, n), dtype=np.uint64)
+    eight[0] = rest // _U64(10**8)
+    eight[1] = rest - eight[0] * _U64(10**8)
+    four = eight // _U64(10000)
+    digits4 = _digits4()
+    words = (digits4[four.astype(np.intp)]
+             | digits4[(eight - four * _U64(10000)).astype(np.intp)]
+             << _U64(32))
+    # The highest nonzero byte of a word: each byte is below 16.
+    used = (np.frexp(words.astype(np.float64))[1] + 7) >> 3
+    digits = np.where(eight[1] != 0, 9 + used[1], 1 + used[0])
+    point = _POINT[x]
+    # Shown digits: the significant ones, and the integer part in full.
+    shown = np.maximum(digits, point)
+    offsets = np.array([[1], [9]])
+    words += (_U64(0x3030303030303030)
+              & _LOW_BYTES[np.clip(shown - offsets, 0, 8)])
+    first += _U64(ord("0"))
+    # Words: sign, "0", first digit | digits before the point | point, zeros
+    # after it, first digit | digits after the point | exponent, sep, "\1".
+    out = np.empty((7, n), dtype="<u8")
+    out[0] = (np.signbit(values) * _U64(ord("-")) | _LEAD[x]
+              | (first * (point > 0)) << _U64(16))
+    np.bitwise_and(words, _LOW_BYTES[np.clip(point - offsets, 0, 8)],
+                   out=out[1:3])
+    out[3] = ((shown > point) * _U64(ord(".")) | _AFTER_POINT[x]
+              | (first * (point == 0)) << _U64(32))
+    np.bitwise_xor(words, out[1:3], out=out[4:6])
+    out[6] = _EXPONENT[x] | _U64(_word(sep + "\1") << 32)
+    cells = out.T.tobytes().translate(None, b"\0").decode("ascii").split("\1")
+    slow = np.flatnonzero(~fast)
+    for i, v in zip(slow.tolist(), values[slow].tolist()):
+        cells[i] = "%.17g%s" % (v, sep)
+    return cells[:-1]
+
 
 def _distinct_cells(column: np.ndarray
                     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -361,8 +521,9 @@ def _row_cells(table: np.ndarray
 def _csv_chunks(header: list[str], table: np.ndarray) -> Iterator[str]:
     """The header line, then the body in chunks of _CSV_CHUNK_ROWS lines.
     A chunk is the row-major join of the cells of _row_cells: a repeating
-    run is gathered from its strings, an inline column is formatted by one
-    ``%`` call per chunk."""
+    run is gathered from its strings, an inline column is formatted by
+    _format_cells (exact array arithmetic for 2**-32 <= |v| < 2**51 in
+    chunks of at least _FORMAT_MIN_ROWS rows, else ``%``)."""
     yield ",".join(header) + "\n"
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
@@ -372,11 +533,8 @@ def _csv_chunks(header: list[str], table: np.ndarray) -> Iterator[str]:
         chunk = np.empty((stop - start, len(cells)), dtype=object)
         for k, (j, _, d) in enumerate(cells):
             if d is None:
-                # One % call per column; "\0" never occurs in a %.17g cell.
-                sep = "," if j < cols - 1 else "\n"
-                cell = ("%.17g" + sep + "\0") * (stop - start)
-                chunk[:, k] = (cell % tuple(table[start:stop, j].tolist())
-                               ).split("\0")[:-1]
+                chunk[:, k] = _format_cells(table[start:stop, j],
+                                            "," if j < cols - 1 else "\n")
             else:
                 strings, index = d
                 chunk[:, k] = strings[index[start:stop]]
@@ -388,7 +546,11 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     (integers below 2**53 print without a decimal point); LF line endings.
     The body is streamed in chunks of rows, each the join of cell strings; a
     column that repeats its values formats each distinct value once, and
-    adjacent repeating columns may share one fused cell (_row_cells).  Any
+    adjacent repeating columns may share one fused cell (_row_cells).  Other
+    columns are formatted per chunk by _format_cells: by integer arithmetic
+    on arrays where 2**-32 <= |v| < 2**51 and the chunk has at least
+    _FORMAT_MIN_ROWS rows, by ``%`` for every other value and chunk; both
+    give the same bytes.  Any
     table layout is accepted; a column-major one is read contiguously."""
     _atomic_write(path, _csv_chunks(header, table))
 
@@ -451,6 +613,8 @@ def run(config_path: str, output_dir: Optional[str] = None,
             # itself is written after it.
             "seconds": {"load": loaded - started, "run": ran - loaded,
                         "write": time.perf_counter() - ran},
+            "versions": {"fracvar": __version__, "numpy": np.__version__,
+                         "python": sys.version.split()[0]},
         }
         _atomic_write(os.path.splitext(csv_path)[0] + ".summary.json",
                       [json.dumps(_finite_json(summary), indent=2,

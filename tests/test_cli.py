@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fracvar
 from fracvar import cli, config, variational
@@ -382,7 +384,7 @@ def test_summary_reports_absolute_paths(tmp_path):
     assert os.path.isabs(summary["config"])
     assert os.path.isabs(summary["csv"])
     assert set(summary) == {"command", "config", "csv", "rows",
-                            "tolerances", "pass", "seconds"}
+                            "tolerances", "pass", "seconds", "versions"}
 
 
 def test_summary_reports_phase_seconds(tmp_path):
@@ -395,6 +397,17 @@ def test_summary_reports_phase_seconds(tmp_path):
     for value in seconds.values():
         assert isinstance(value, float)
         assert math.isfinite(value) and value >= 0.0
+
+
+def test_summary_reports_versions(tmp_path):
+    payload = load_payload("op_apply_halfint.json")
+    cfg = write_payload(tmp_path, payload)
+    assert cli.run(cfg, output_dir=str(tmp_path)) == 0
+    _, summary_path = outputs(tmp_path, payload)
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    assert summary["versions"] == {"fracvar": fracvar.__version__,
+                                   "numpy": np.__version__,
+                                   "python": platform.python_version()}
 
 
 def test_output_files_follow_umask(tmp_path):
@@ -474,6 +487,30 @@ def test_op_apply_3d_csv_matches_node_loop(tmp_path, sweep):
                         abs(out.values[0][idx] - oracle[idx])])
     header = ["t1", "t2", "t3", "value", "abs_error"]
     assert (tmp_path / "op3d.csv").read_bytes() == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("sweep", [None, [4, 5]], ids=["size", "sweep"])
+def test_run_experiment_keeps_a_one_size_table(tmp_path, sweep):
+    # One size: the runner's table itself, not a copy; a sweep stacks.
+    payload = load_payload("op_apply_halfint.json")
+    payload.pop("sweep", None)
+    if sweep is not None:
+        payload["sweep"] = sweep
+    cfg = load_config(write_payload(tmp_path, payload))
+    runner, columns, error_column = cli._COMMANDS["op-apply"]
+    made = []
+
+    def recording_runner(problem, grid):
+        made.append(runner(problem, grid))
+        return made[-1]
+
+    with mock.patch.dict(cli._COMMANDS, {
+            "op-apply": (recording_runner, columns, error_column)}):
+        table = cli.run_experiment(cfg)[1]
+    assert len(made) == len(sweep or [None])
+    assert (table is made[0]) == (sweep is None)
+    assert table.flags.f_contiguous and table.dtype == np.float64
+    assert np.array_equal(table, np.concatenate(made))
 
 
 # Bit patterns that print alike but must not be merged, plus the extremes.
@@ -592,6 +629,84 @@ def test_write_csv_repeated_column_after_inline_one(tmp_path):
     assert cli._distinct_cells(inline) is None
     assert cli._distinct_cells(repeated) is not None
     header = ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
+FORMAT_MIN = cli._FORMAT_MIN_ROWS
+
+
+def format_reference(values, sep):
+    """The cells _format_cells must return: one % call per value."""
+    return ["%.17g" % v + sep for v in values.tolist()]
+
+
+def format_edges():
+    """Every power of ten from 1e-15 to 1e18 and the ends of the array
+    formatter's range, each with both neighbours; 1e-06; values whose
+    17-digit rounding carries into the next power of ten; exact half-way
+    ties and integers in [2**53, 2**57]; then the negatives of all of
+    these."""
+    # 1e-14, 1e-70, 1e+98 and 1e+129 are doubles below their power of ten
+    # whose 17 digits round up to it.
+    edges = [1e-06, 1e-70, 1e98, 1e129]
+    powers = [float(f"1e{p}") for p in range(-15, 19)]
+    for power in powers + list(cli._FAST_RANGE) + [2.0**52]:
+        edges += [np.nextafter(power, 0.0), power,
+                  np.nextafter(power, math.inf)]
+    # v = 10**X + j / 2**(17 - X) with j odd: v * 10**(16 - X) is an odd
+    # multiple of 1/2, a tie; at X = 15 the shift is 1.
+    for x in range(16):
+        edges += [10**x + j / 2**(17 - x) for j in (1, 3, 5, 2**17 + 1)]
+    edges += [2.0**53, 2.0**53 + 2, 2.0**55 + 8, 1e17, 2.0**57 - 16, 2.0**57]
+    edges = np.array(edges, dtype=float)
+    return np.concatenate([edges, -edges])
+
+
+@pytest.mark.parametrize("sep", [",", "\n"])
+def test_format_cells_edge_values(sep):
+    edges = format_edges()
+    assert len(edges) < FORMAT_MIN
+    # The edges formatted by arrays (padded to the threshold with their
+    # own repeats) and by % (a short chunk).
+    padded = np.resize(edges, FORMAT_MIN)
+    assert cli._format_cells(padded, sep) == format_reference(padded, sep)
+    assert cli._format_cells(edges, sep) == format_reference(edges, sep)
+
+
+ANY_FLOAT = (st.floats() | st.floats(1e-12, 1e16)
+             | st.floats(-1e16, -1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=hnp.arrays(np.float64, st.integers(1, 40), elements=ANY_FLOAT,
+                        fill=st.nothing()),
+       rows=st.integers(FORMAT_MIN - 2, FORMAT_MIN + 2) | st.integers(0, 3),
+       sep=st.sampled_from([",", "\n"]))
+def test_format_cells_matches_percent(drawn, rows, sep):
+    # The drawn values repeated to a length on either side of the
+    # threshold: arrays at and above it, % below it.  st.floats() draws
+    # nan, inf, -0.0 and subnormals too.
+    values = np.resize(drawn, rows)
+    assert cli._format_cells(values, sep) == format_reference(values, sep)
+
+
+@pytest.mark.parametrize("tail", [FORMAT_MIN, FORMAT_MIN - 1],
+                         ids=["array-tail", "percent-tail"])
+def test_write_csv_long_inline_columns_match_reference(tmp_path, tail):
+    # Three inline columns over two chunks: the first chunk is formatted
+    # by arrays, the second by arrays or, one row shorter, by %.
+    rows = CHUNK + tail
+    rng = np.random.default_rng(11)
+    spread = rng.standard_normal(rows) * 2.0 ** rng.integers(-60, 71, rows)
+    edged = spread[::-1].copy()
+    edged[::3] = np.resize(format_edges(), len(edged[::3]))
+    special = rng.random(rows)
+    special[::5] = np.resize(np.array(SPECIALS), len(special[::5]))
+    table = np.column_stack([spread, edged, special])
+    assert all(cli._distinct_cells(c) is None for c in table.T)
+    header = ["spread", "edged", "special"]
     path = tmp_path / "t.csv"
     cli.write_csv(str(path), header, table)
     assert path.read_bytes() == reference_csv(header, table.tolist())
