@@ -4,7 +4,8 @@
 
 Each config runs one command (see config.COMMANDS), usually over a sweep of
 grid sizes.  load_config resolves the config once; the command's runner gets
-that Problem and one grid per size.  ``_COMMANDS`` holds, per command, the
+that Problem and one grid per size; noether-check reads all three columns
+from one chain evaluation per size.  ``_COMMANDS`` holds, per command, the
 runner, the CSV columns and the error column, so every tolerance key is
 checked against the header before the sweep runs.  The result is one float
 table: a CSV (``%.17g`` cells, LF line endings) and a
@@ -48,8 +49,7 @@ from .dirichlet import DirichletSpec, bvp_residual, energy, minimize_energy
 from .errors import ConfigError, FracvarError
 from .ibp import check_K_duality, check_ibp
 from .model import Field, GridND, interior_max_abs
-from .noether import (chain_identity_residual, invariance_residual,
-                      noether_residual)
+from .noether import _chain
 from .operators import apply_op_nd, make_plan
 from .variational import (ProblemSpec, el_residual, el_residual_mixed,
                           wave_residual)
@@ -132,10 +132,9 @@ def _run_noether_check(p: Problem, grid: GridND) -> list[list]:
                        p.betas, p.kernels_alpha, p.kernels_beta)
     u = (_expr_field(grid, p.u0) if p.u0 is not None
          else _random_smooth_field(grid, np.random.default_rng(p.seed)))
-    gen = p.generator
-    return [[grid.axes[0].n, chain_identity_residual(spec, u, gen),
-             interior_max_abs(noether_residual(spec, u, gen)),
-             interior_max_abs(invariance_residual(spec, u, gen))]]
+    defect, noe, inv = _chain(spec, u, p.generator)
+    return [[grid.axes[0].n, defect, interior_max_abs(noe),
+             interior_max_abs(inv)]]
 
 
 def _run_wave_residual(p: Problem, grid: GridND) -> list[list]:

@@ -29,7 +29,7 @@ class AxisError(FracvarError):
     """An axis index does not exist on the given grid."""
 
 
-class LengthMismatch(FracvarError):
+class LengthMismatch(GridMismatch):
     """Per-axis argument arrays do not all have length equal to the grid dimension."""
 
 

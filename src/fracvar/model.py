@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (AxisError, BoundaryViolation, DomainError, GridMismatch,
-                     RangeError)
+                     LengthMismatch, RangeError)
 
 #: Hard cap on cells per axis.  Plans are O(n), but the power-kernel cell
 #: moments lose precision to cancellation as n grows (relative error about
@@ -297,6 +297,17 @@ def check_axis(grid: GridND, axis: int) -> None:
     """Raise AxisError unless axis indexes an axis of grid."""
     if not 0 <= axis < grid.ndim:
         raise AxisError(f"axis {axis} out of range for a {grid.ndim}D grid")
+
+
+def _check_per_axis(spec, *names: str) -> None:
+    """Store each named per-axis argument of the frozen spec as a tuple;
+    raise LengthMismatch unless it has one entry per axis of spec.grid."""
+    d = spec.grid.ndim
+    for nm in names:
+        val = tuple(getattr(spec, nm))
+        object.__setattr__(spec, nm, val)
+        if len(val) != d:
+            raise LengthMismatch(f"{nm} must have length {d}, got {len(val)}")
 
 
 def check_admissible(spec, u: Field) -> None:

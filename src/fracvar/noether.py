@@ -39,8 +39,8 @@ from .errors import DomainError
 from .model import (Field, KernelSpec, ParamSet, check_admissible, check_axis,
                     check_field, dual)
 from .operators import FracOpPlan, OpKind, _adjoint, _apply, make_plan
-from .variational import (ProblemSpec, _blocks, _k_dual_plans, _partials,
-                          _shaped, el_residual)
+from .variational import (ProblemSpec, _blocks, _el, _k_dual_plans,
+                          _partials, _shaped)
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,16 @@ def chain_identity_residual(spec: ProblemSpec, u: Field,
     noether = invariance - sum_k xi_k . el_k; floating-point small for any
     u because all three terms share the same operator realizations and the
     same generator sample."""
+    return _chain(spec, u, gen)[0]
+
+
+def _chain(spec: ProblemSpec, u: Field, gen: SymmetryGenerator):
+    """(chain defect, noether residual, invariance residual): u is checked
+    and the generator sampled once, and each term is computed once."""
     check_admissible(spec, u)
     xi = gen.sample(spec, u)
-    noe = _noether(spec, u, xi).data
-    inv = _invariance(spec, u, xi).data
-    el = el_residual(spec, u).values
-    return float(np.max(np.abs(noe - inv + np.sum(xi.values * el, axis=0))))
+    noe = _noether(spec, u, xi)
+    inv = _invariance(spec, u, xi)
+    el = _el(spec, u, mixed=False).values
+    defect = noe.data - inv.data + np.sum(xi.values * el, axis=0)
+    return float(np.max(np.abs(defect))), noe, inv

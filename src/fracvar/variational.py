@@ -39,7 +39,7 @@ from .errors import (DomainError, GradientCheckError, GridMismatch,
                      LengthMismatch)
 from .ibp import volume_integral
 from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet,
-                    check_admissible, check_field, dual)
+                    _check_per_axis, check_admissible, check_field, dual)
 from .operators import (OpKind, _adjoint, _apply, axis_plans,
                         derivative_along_axis, make_plan)
 
@@ -169,16 +169,11 @@ class ProblemSpec:
     boundary: Optional[Field] = None
 
     def __post_init__(self) -> None:
-        d = self.grid.ndim
-        for nm in ("psets1", "psets2", "alphas", "betas",
-                   "kernels_alpha", "kernels_beta"):
-            val = tuple(getattr(self, nm))
-            object.__setattr__(self, nm, val)
-            if len(val) != d:
-                raise LengthMismatch(f"{nm} must have length {d}, got {len(val)}")
-        if self.lagrangian.n != d:
-            raise LengthMismatch(
-                f"Lagrangian expects {self.lagrangian.n} variables, grid has {d}")
+        _check_per_axis(self, "psets1", "psets2", "alphas", "betas",
+                        "kernels_alpha", "kernels_beta")
+        if self.lagrangian.n != self.grid.ndim:
+            raise LengthMismatch(f"Lagrangian expects {self.lagrangian.n} "
+                                 f"variables, grid has {self.grid.ndim}")
         if self.boundary is not None:
             check_field(self.boundary, self.grid, self.lagrangian.N)
 
@@ -234,6 +229,7 @@ def el_residual(spec: ProblemSpec, u: Field) -> Field:
     oriented as the first-variation density (delta J = <eta, el> for
     admissible eta).  Near-zero in the interior means u is an extremal;
     boundary nodes are not asserted."""
+    check_admissible(spec, u)
     return _el(spec, u, mixed=False)
 
 
@@ -244,15 +240,15 @@ def el_residual_mixed(spec: ProblemSpec, u: Field) -> Field:
         dF/du - sum_i A_{P1_i*} dF/dv[.][i] - sum_i d/dt_i dF/dw[.][i],
 
     with the same first-variation orientation as el_residual."""
+    check_admissible(spec, u)
     return _el(spec, u, mixed=True)
 
 
 def _el(spec: ProblemSpec, u: Field, mixed: bool) -> Field:
     """The residual of el_residual, or of el_residual_mixed when mixed: the
     w block and the adjoint of its operator are the classical gradient and
-    -d/dt_i instead of K_{P2_i} and K_{P2_i*}.  It runs on arrays; the
-    result is the one Field it builds."""
-    check_admissible(spec, u)
+    -d/dt_i instead of K_{P2_i} and K_{P2_i*}, at an admissible u.  It
+    runs on arrays; the result is the one Field it builds."""
     # The blocks are released on return: the loop reads only the partials.
     res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values, mixed))
     b_plans = spec.b_plans()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fracvar
-from fracvar import cli, config, variational
+from fracvar import cli, config, noether, operators, variational
 from fracvar.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -272,6 +272,32 @@ def test_config_resolved_once(tmp_path, monkeypatch):
                    output_dir=str(tmp_path), jobs=2) == 0
     assert checked == ["dirichlet_energy"]
     assert sorted(parsed) == ["1", "sin(pi*t1)"]
+
+
+def test_noether_check_evaluates_the_chain_once_per_size(tmp_path,
+                                                        monkeypatch):
+    # Each size samples the generator once and builds the 13 plans of one
+    # 1D chain; the separate noether and invariance residuals would build 9
+    # more and sample twice more.
+    payload = load_payload("noether_translation.json")
+    plans, samples = [], []
+    make_plan, sample = operators.make_plan, noether.SymmetryGenerator.sample
+
+    def counting_plan(*args, **kwargs):
+        plans.append(1)
+        return make_plan(*args, **kwargs)
+
+    def counting_sample(*args):
+        samples.append(1)
+        return sample(*args)
+
+    monkeypatch.setattr(operators, "make_plan", counting_plan)
+    monkeypatch.setattr(noether.SymmetryGenerator, "sample", counting_sample)
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path), jobs=1) == 0
+    sizes = len(payload["sweep"])
+    assert len(plans) == 13 * sizes
+    assert len(samples) == sizes
 
 
 def test_csv_is_deterministic(tmp_path):
@@ -759,16 +785,22 @@ def test_write_csv_matches_reference_on_any_table(table, chunk_rows, layout):
         assert path.read_bytes() == reference_csv(header, table.tolist())
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_write_csv_memory_is_bounded(tmp_path, layout):
+@pytest.mark.parametrize("layout, inline", [
+    ("C", False), ("F", False), ("C", True), ("F", True)],
+    ids=["C", "F", "C-inline", "F-inline"])
+def test_write_csv_memory_is_bounded(tmp_path, layout, inline):
     # A 49^3-node op-apply table: three coordinate columns and two values,
     # in C order or column-major as op-apply builds it.  Formatting the
-    # whole body in one string peaks at about 31 MB.
+    # whole body in one string peaks at about 31 MB.  The values repeat
+    # (sin(t1 + 2 t2) takes few values), or with inline take a distinct
+    # value per node, so that _format_cells formats them chunk by chunk.
     nodes = np.linspace(0.0, 1.125, 49)
     mesh = [m.ravel() for m in np.meshgrid(nodes, nodes, nodes, indexing="ij")]
-    value = np.sin(mesh[0] + 2.0 * mesh[1]) * np.exp(mesh[2])
+    value = (np.sin(mesh[0] + (math.sqrt(2.0) if inline else 2.0) * mesh[1])
+             * np.exp(mesh[2]))
     table = laid_out(np.column_stack(mesh + [value, np.abs(value - 0.5)]),
                      layout)
+    assert any(d is None for *_, d in cli._row_cells(table)) == inline
     tracemalloc.start()
     try:
         cli.write_csv(str(tmp_path / "t.csv"), ["t1", "t2", "t3", "value",

@@ -12,7 +12,8 @@ from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      make_uniform_grid, minimize_energy, rl_kernel,
                      tabulated_kernel, transfinite_init, uniqueness_check)
 from fracvar.errors import (BoundaryViolation, DegenerateEnergy, DomainError,
-                            GridMismatch, NoConvergence)
+                            FracvarError, GridMismatch, LengthMismatch,
+                            NoConvergence)
 from fracvar.operators import (adjoint_apply, apply_matrix_along_axis,
                                apply_op_nd, toeplitz_along_axis)
 
@@ -72,6 +73,15 @@ class TestSpecValidation:
         psi = Field.constant(grid, 0.0)
         with pytest.raises(GridMismatch):
             DirichletSpec(grid, [SYM, SYM], [0.5], [rl_kernel()], psi)
+
+    @pytest.mark.parametrize("name", ["psets", "alphas", "kernels"])
+    def test_per_axis_length_mismatch(self, name):
+        # ProblemSpec raises LengthMismatch for the same fault.
+        grid = grid_1d(0.0, 1.0, 8)
+        args = {"psets": [SYM], "alphas": [0.5], "kernels": [rl_kernel()]}
+        args[name] = args[name] * 2
+        with pytest.raises(LengthMismatch, match=name):
+            DirichletSpec(grid, boundary=Field.constant(grid, 0.0), **args)
 
     def test_scalar_only(self):
         grid = grid_1d(0.0, 1.0, 8)
@@ -285,6 +295,41 @@ class TestMinimization:
         assert exc.value.best is not None
         assert exc.value.iterations == 1
         assert np.isfinite(exc.value.gradient_norm)
+
+    def test_indefinite_direction_raises(self, monkeypatch):
+        # Negated interior blocks make the Hessian negative definite, while
+        # the preconditioner stays positive definite: pAp < 0 at the first
+        # step.
+        solver_data = fracvar.dirichlet._solver_data
+
+        def negated(spec):
+            rows, ts, precondition = solver_data(spec)
+            return fracvar.dirichlet._SolverData(rows, [-t for t in ts],
+                                                 precondition)
+        monkeypatch.setattr(fracvar.dirichlet, "_solver_data", negated)
+        with pytest.raises(FracvarError, match="not positive definite"):
+            minimize_energy(spec_1d(16, lambda t: np.sin(3.0 * t)))
+
+    # L2 orders of u_n - u_2n (psi = t, p = 0.6, RL kernel) from the
+    # differences at n = 128, 256 and 512, as measured: alpha = 0.7: 0.855,
+    # 0.812; alpha = 0.9: 1.003, 0.964.  Each bound is the smaller order
+    # minus a margin of 0.15.  For alpha <= 1/2 the minimizers need not
+    # converge (no H^alpha traces).
+    @pytest.mark.parametrize("alpha, min_order", [(0.7, 0.65), (0.9, 0.8)])
+    def test_self_convergence_for_alpha_above_one_half(self, alpha,
+                                                       min_order):
+        pset = ParamSet(0.0, 1.0, 0.6, 0.4)
+        sizes = [128, 256, 512, 1024]
+        sols = [minimize_energy(spec_1d(n, lambda t: t, pset=pset,
+                                        alpha=alpha)).field.values[0]
+                for n in sizes]
+        diffs = []
+        for n, coarse, fine in zip(sizes, sols, sols[1:]):
+            d = coarse - fine[::2]
+            w = make_uniform_grid(0.0, 1.0, n).trapezoid_weights()
+            diffs.append(math.sqrt(np.sum(w * d * d)))
+        orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+        assert np.all(orders >= min_order), orders
 
 
 _S = np.linspace(0.01, 2.0, 200)

@@ -51,9 +51,11 @@ class TestGrammar:
             parse_function("(1 + 2", 1)
 
     def test_unexpected_character_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_function("1 + $", 1)
-        assert exc.value.position == 4
+        # "$" is no token; ")" is a token that cannot start an operand.
+        for text in ("1 + $", "1 + )"):
+            with pytest.raises(ParseError) as exc:
+                parse_function(text, 1)
+            assert exc.value.position == 4
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -76,6 +78,8 @@ class TestVariables:
             parse_function("t2", 1)
         with pytest.raises(ArityError):
             parse_function("t0", 2)
+        with pytest.raises(ArityError, match="'x' needs a space axis"):
+            parse_function("x", 0)
 
     def test_x_alias(self):
         # In 1D, x is the only coordinate; with a time axis present it is the

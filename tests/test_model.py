@@ -63,6 +63,8 @@ class TestKernelSpec:
 
     def test_tabulated_validation(self):
         tabulated_kernel([[0.1, 1.0], [0.5, 2.0], [1.0, 0.5]])
+        with pytest.raises(DomainError, match="requires samples"):
+            KernelSpec(KernelFamily.TABULATED)
         with pytest.raises(DomainError):
             tabulated_kernel([[0.1, 1.0]])                       # one sample
         with pytest.raises(DomainError):
@@ -122,6 +124,8 @@ class TestGrids:
             make_uniform_grid(0.0, 1.0, 1)
         with pytest.raises(DomainError):
             make_uniform_grid(0.0, 1.0, 10 ** 6)
+        with pytest.raises(DomainError, match="at least one axis"):
+            GridND(())
 
     def test_trapezoid_weights_sum_to_length(self):
         g = make_uniform_grid(0.0, 2.0, 7)
@@ -155,6 +159,8 @@ class TestField:
             Field(grid, np.zeros(6))
         with pytest.raises(GridMismatch):
             Field(grid, np.zeros((1, 2, 5)))
+        with pytest.raises(DomainError, match="N >= 1"):
+            Field(grid, np.zeros((0, 5)))    # no components
 
     def test_rejects_non_finite(self):
         grid = grid_1d(0.0, 1.0, 4)

@@ -263,6 +263,9 @@ class TestWaveResidual:
         with pytest.raises(LengthMismatch):
             wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel()),
                           [(SYM, 0.5, rl_kernel())] * 2)
+        u4 = Field.constant(GridND((make_uniform_grid(0.0, 1.0, 2),) * 4), 1.0)
+        with pytest.raises(DomainError, match="up to 2 space axes"):
+            wave_residual(u4, 1.0, 1.0, (LEFT, 0.5, rl_kernel()))
 
     def test_short_space_axis_rejected(self):
         # The classical second derivative's end rows read four nodes.
