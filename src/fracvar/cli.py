@@ -15,14 +15,15 @@ cell strings that already end in their separator.  A column that repeats
 its values (grid coordinates always do; found by sorting its bits) formats
 each distinct value once and gathers the strings; a run of adjacent such
 columns with few enough value combinations is gathered as one fused cell.
-Any other column is formatted per chunk by _format_cells: exactly as
-``%.17g``, by integer arithmetic on arrays, for 2**-32 <= |v| < 2**51 (17
-digits from the significand times a power of five, shifted and rounded half
-to even with an exact remainder); by ``%`` for the other values and for
-chunks of fewer than _FORMAT_MIN_ROWS rows.  op-apply builds its table
-column-major, so the writer reads each column contiguously.  The summary
-also records the wall seconds of the load, run and write phases and the
-fracvar, numpy and Python versions.
+Any other column is formatted per chunk.  Every cell string comes from one
+formatter, _format_cells: exactly as ``%.17g``, by integer arithmetic on
+arrays, for 2**-32 <= |v| < 2**51 (17 digits from the significand times a
+power of five, shifted and rounded half to even with an exact remainder);
+by ``%`` for the other values and for calls of fewer than
+_FORMAT_MIN_ROWS values.  op-apply builds its table column-major, so the
+writer reads each column contiguously.  The summary also records the wall
+seconds of the load, run and write phases and the fracvar, numpy and Python
+versions.
 Exit codes: 0 all tolerances pass, 2 a tolerance failed,
 1 configuration, runtime or output error.  Output goes to --output-dir,
 else $FRACVAR_OUTPUT_DIR, else the config file's directory.
@@ -31,7 +32,6 @@ else $FRACVAR_OUTPUT_DIR, else the config file's directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -207,6 +207,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
     sizes = cfg.sweep if cfg.sweep is not None else (problem.size,)
     grids = (problem.grid(n) for n in sizes)
     if jobs > 1 and len(sizes) > 1:
+        # Imported here: it brings in logging, which a serial run never uses.
+        import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda g: runner(problem, g), grids))
     else:
@@ -470,7 +472,8 @@ def _distinct_cells(column: np.ndarray
     float64 column, when it has at most half as many distinct bit patterns
     (0.0 and -0.0 stay apart) as rows; else None, for inline formatting.
     The distinct patterns come from a sort of the bits and a comparison of
-    neighbours, the inverse from a binary search in them."""
+    neighbours, the inverse from a binary search in them; the strings are
+    _format_cells of the distinct values, with no separator."""
     bits = column.view(np.uint64)
     ordered = np.sort(bits)
     # A sorted pattern that differs from its predecessor is a new one.
@@ -480,8 +483,8 @@ def _distinct_cells(column: np.ndarray
         return None
     distinct = np.concatenate([ordered[:1], ordered[1:][new]])
     inverse = np.searchsorted(distinct, bits)
-    values = distinct.view(np.float64).tolist()
-    strings = np.array(["%.17g" % v for v in values], dtype=object)
+    strings = np.array(_format_cells(distinct.view(np.float64), ""),
+                       dtype=object)
     # The narrowest index type keeps the writer's resident memory low.
     return strings, inverse.astype(np.min_scalar_type(count))
 

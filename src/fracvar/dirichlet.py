@@ -48,8 +48,8 @@ from .errors import (DegenerateEnergy, DomainError, FracvarError,
 from .ibp import _trapezoid_sum
 from .model import (Field, GridND, KernelSpec, ParamSet, _check_per_axis,
                     check_admissible, check_field)
-from .operators import (OpKind, _adjoint_weighted, _apply, _matmul_along,
-                        _weights_along, apply_matrix_along_axis, axis_plans)
+from .operators import (OpKind, _adjoint, _apply, _matmul_along,
+                        apply_matrix_along_axis, axis_plans)
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,14 @@ def energy(spec: DirichletSpec, u: Field) -> float:
 def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
     """sum_i A_{P_i*}^{alpha_i}(B_{P_i}^{alpha_i} u), the starred operators
     realized as exact transposes; zero in the interior characterizes the
-    solution.  The sum runs on arrays: each B u is weighted as it is
-    copied into C order, which the dense product reads without another
-    copy, and each term is subtracted from 0: x - y rounds as x + (-y),
+    solution.  The sum runs on arrays: each term is ``_adjoint`` of B u
+    with negate=False, subtracted from 0.  x - y rounds as x + (-y),
     signed zeros included, so the sum is bitwise that of the negated terms
     of ``adjoint_apply``."""
     check_field(u, spec.grid, 1)
     out = None
     for bp in spec.b_plans():
-        wb = _weights_along(bp, u.values.ndim)
-        bu = np.multiply(_apply(bp, u.values), wb, order="C")
-        term = _adjoint_weighted(bp, bu, wb, negate=False)
+        term = _adjoint(bp, _apply(bp, u.values), negate=False)
         if out is None:
             out = np.subtract(0.0, term, out=term)
         else:

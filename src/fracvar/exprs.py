@@ -18,6 +18,7 @@ zero, sqrt of a negative) raise EvalError.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable, Optional, Sequence
 
@@ -87,8 +88,7 @@ class _Parser:
             op = self._accept_op("+-")
             if op is None:
                 return node
-            rhs = self._term()
-            node = (_add if op == "+" else _sub)(node, rhs)
+            node = _binary(op, node, self._term())
 
     def _term(self) -> Callable:
         node = self._unary()
@@ -96,8 +96,7 @@ class _Parser:
             op = self._accept_op("*/")
             if op is None:
                 return node
-            rhs = self._unary()
-            node = (_mul if op == "*" else _div)(node, rhs)
+            node = _binary(op, node, self._unary())
 
     def _unary(self) -> Callable:
         if self._accept_op("-"):
@@ -108,8 +107,7 @@ class _Parser:
     def _power(self) -> Callable:
         base = self._atom()
         if self._accept_op("^"):
-            exponent = self._unary()
-            return lambda env: base(env) ** exponent(env)
+            return _binary("^", base, self._unary())
         return base
 
     def _atom(self) -> Callable:
@@ -170,20 +168,13 @@ def _u_value(env):
     return env[-1]
 
 
-def _add(a, b):
-    return lambda env: a(env) + b(env)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
 
 
-def _sub(a, b):
-    return lambda env: a(env) - b(env)
-
-
-def _mul(a, b):
-    return lambda env: a(env) * b(env)
-
-
-def _div(a, b):
-    return lambda env: a(env) / b(env)
+def _binary(op: str, a: Callable, b: Callable) -> Callable:
+    fn = _BINARY[op]
+    return lambda env: fn(a(env), b(env))
 
 
 def parse_function(text: str, arity: int, allow_u: bool = False) -> Callable:

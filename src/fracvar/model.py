@@ -34,7 +34,8 @@ class ParamSet:
 
     ``p`` weights the integral over (a, t) and ``q`` the integral over
     (t, b).  The evaluation variable t ranges over the grid and is supplied
-    by the operator, so only (a, b, p, q) are stored.
+    by the operator, so only (a, b, p, q) are stored.  Raises DomainError
+    unless a, b, p and q are finite and a < b.
     """
 
     a: float
@@ -43,6 +44,10 @@ class ParamSet:
     q: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.p, self.q))):
+            raise DomainError(
+                f"ParamSet requires finite a, b, p, q, got a={self.a}, "
+                f"b={self.b}, p={self.p}, q={self.q}")
         if not (self.a < self.b):
             raise DomainError(f"ParamSet requires a < b, got a={self.a}, b={self.b}")
 
@@ -153,7 +158,9 @@ def kernel_eval(k: KernelSpec, s) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid with n cells on [a, b]; n+1 nodes, endpoints exact."""
+    """Uniform grid with n cells on [a, b]; n+1 nodes, endpoints exact.
+    Raises DomainError unless a, b and b - a are finite, a < b and n is an
+    integer (int or numpy integer) with 2 <= n <= MAX_CELLS_PER_AXIS."""
 
     a: float
     b: float
@@ -161,6 +168,13 @@ class Grid1D:
     nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # b - a is not finite when a or b is not, or when the span overflows.
+        if not math.isfinite(self.b - self.a):
+            raise DomainError(f"grid requires finite a, b and b - a, got "
+                              f"a={self.a}, b={self.b}")
+        if not isinstance(self.n, (int, np.integer)):
+            raise DomainError(
+                f"grid requires an integer n, got {self.n!r}")
         if not (self.a < self.b):
             raise DomainError(f"grid requires a < b, got a={self.a}, b={self.b}")
         if self.n < 2:
@@ -183,7 +197,8 @@ class Grid1D:
 
 
 def make_uniform_grid(a: float, b: float, n: int) -> Grid1D:
-    """Uniform 1D grid; raises DomainError for a >= b or n < 2."""
+    """Uniform 1D grid; raises DomainError as Grid1D does (a >= b, a
+    non-finite end, n not an integer in 2..MAX_CELLS_PER_AXIS)."""
     return Grid1D(a, b, n)
 
 
@@ -233,14 +248,21 @@ def grid_1d(a: float, b: float, n: int) -> GridND:
 class Field:
     """N-component function sampled on every node of a GridND.
 
-    ``values`` has shape (N, m_1+1, ..., m_d+1).
+    ``values`` has shape (N, m_1+1, ..., m_d+1).  Raises DomainError
+    unless the values have a bool, integer or float dtype (complex, string
+    and object arrays are refused, not cast) and are finite.
     """
 
     grid: GridND
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "biuf":
+            raise DomainError(
+                f"field values must be bool, integer or float, got dtype "
+                f"{vals.dtype}")
+        vals = vals.astype(float, copy=False)
         expected = self.grid.shape
         if vals.ndim == len(expected):
             vals = vals[np.newaxis, ...]

@@ -67,11 +67,6 @@ from .errors import (AxisError, DomainError, GridMismatch, OrderError,
 from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
                     check_axis)
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_GAUSS01_X = 0.5 * (_GAUSS_X + 1.0)   # nodes on (0, 1)
-_GAUSS01_W = 0.5 * _GAUSS_W
-
-
 class OpKind(enum.Enum):
     K = "K"
     A = "A"
@@ -116,6 +111,14 @@ def _check_tabulated_resolution(kernel: KernelSpec, grid: Grid1D) -> None:
             f"the target grid (h = {h})")
 
 
+@functools.cache
+def _gauss01() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre nodes and weights mapped to (0, 1).  Built
+    on first use, which keeps numpy.polynomial out of the import."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel moments over the cells ((d-1)h, dh), d = 1..n.
 
@@ -144,11 +147,12 @@ def _cell_moments(kernel: KernelSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndar
         smp = kernel.samples
         # Gauss nodes per cell; np.interp extends by the end values, which only
         # matters inside the first half-cell (make_plan's resolution check).
+        gx, gw = _gauss01()
         d = np.arange(1, n + 1, dtype=float)
-        s = (d[:, None] - 1.0) * h + h * _GAUSS01_X[None, :]
+        s = (d[:, None] - 1.0) * h + h * gx[None, :]
         k = np.interp(s, smp[:, 0], smp[:, 1])
-        m0 = h * k @ _GAUSS01_W
-        u = h * (k * _GAUSS01_X[None, :]) @ _GAUSS01_W
+        m0 = h * k @ gw
+        u = h * (k * gx[None, :]) @ gw
         v = m0 - u
     return m0, u, v
 
@@ -393,34 +397,22 @@ def _apply(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weights_along(plan: FracOpPlan, ndim: int) -> np.ndarray:
-    """The trapezoid weights of the plan's axis, shaped to broadcast along
-    it in a value array of ndim axes (component axis 0 first)."""
+def _adjoint(plan: FracOpPlan, vals: np.ndarray, negate: bool) -> np.ndarray:
+    """``adjoint_apply`` on a value array (component axis 0 first),
+    unchecked: the values weighted by the trapezoid weights of the plan's
+    axis into a new C-order array, which a dense product reads without a
+    copy, then the transposed stencil (A) and Toeplitz product, then the
+    division by the weights and the sign, in place on the new result."""
     w = plan.grid.trapezoid_weights()
-    return w.reshape(w.shape + (1,) * (ndim - plan.axis - 2))
-
-
-def _adjoint_weighted(plan: FracOpPlan, g: np.ndarray, wb: np.ndarray,
-                      negate: bool) -> np.ndarray:
-    """``_adjoint`` on weighted values g = wb * values: the transposed
-    stencil (A) and Toeplitz product, then the division by the weights and
-    the sign, in place on the new result."""
+    w = w.reshape(w.shape + (1,) * (vals.ndim - plan.axis - 2))
+    g = np.multiply(vals, w, order="C")
     if plan.kind is OpKind.A:
         g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
     out = toeplitz_along_axis(plan, g, transpose=True)
-    out /= wb
+    out /= w
     if negate:
         np.negative(out, out=out)
     return out
-
-
-def _adjoint(plan: FracOpPlan, vals: np.ndarray, negate: bool) -> np.ndarray:
-    """``adjoint_apply`` on a value array (component axis 0 first),
-    unchecked: the values weighted into a new C-order array, which a dense
-    product reads without a copy, then ``_adjoint_weighted``."""
-    wb = _weights_along(plan, vals.ndim)
-    return _adjoint_weighted(plan, np.multiply(vals, wb, order="C"), wb,
-                             negate)
 
 
 def apply_op_nd(plan: FracOpPlan, f: Field) -> Field:

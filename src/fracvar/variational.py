@@ -17,8 +17,10 @@ gradient and reads sum_i [ A_{P1*} dF/dv + d/dt_i dF/dw ] - dF/du.
 Realizations of the starred operators: A_{P*} terms use the exact transpose
 of the assembled B matrix in the trapezoid inner product (so residuals of
 discrete-energy minimizers vanish to solver tolerance, the residual of the
-Dirichlet integrand is -2x ``dirichlet.bvp_residual`` bitwise on every
-grid, and the Noether chain identity closes in floating point); K_{P*}
+Dirichlet integrand equals -2x ``dirichlet.bvp_residual`` in value on every
+grid -- exact zeros may differ in sign, so the equality is that of
+``np.array_equal``, not of the bits -- and the Noether chain identity
+closes in floating point); K_{P*}
 terms use the operator built directly on the dual p-set (so the bracket
 antisymmetry is exact).
 

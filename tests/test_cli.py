@@ -590,6 +590,25 @@ def test_write_csv_half_distinct_threshold(tmp_path):
     assert path.read_bytes() == reference_csv(header, table.tolist())
 
 
+def test_write_csv_many_distinct_values_match_reference(tmp_path):
+    # 600 distinct values, each twice: at least _FORMAT_MIN_ROWS distinct
+    # values, so _distinct_cells formats them by _format_cells' array path.
+    # The specials and values outside its range take the % fallback.
+    rng = np.random.default_rng(23)
+    distinct = np.concatenate([
+        SPECIALS, 2.0 ** rng.integers(-40, 60, 600 - len(SPECIALS))
+        * rng.uniform(-2.0, 2.0, 600 - len(SPECIALS))])
+    assert len(np.unique(distinct.view(np.uint64))) == 600
+    column = np.repeat(distinct, 2)
+    strings, _ = cli._distinct_cells(column)
+    assert len(strings) == 600 >= cli._FORMAT_MIN_ROWS
+    table = np.column_stack([column, np.arange(1200.0)])
+    header = ["repeated", "row"]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, table)
+    assert path.read_bytes() == reference_csv(header, table.tolist())
+
+
 def repeating_column(distinct, rows):
     """A column cycling through `distinct` values, specials first."""
     pool = np.concatenate([SPECIALS, 7.0 + 0.1 * np.arange(distinct)])

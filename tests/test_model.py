@@ -28,6 +28,16 @@ class TestParamSet:
         with pytest.raises(DomainError):
             ParamSet(2.0, -1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "p", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        # A NaN or infinite weight used to be accepted and fail only at an
+        # apply, after numpy RuntimeWarnings.
+        args = dict(a=0.0, b=1.0, p=0.5, q=0.5)
+        args[field] = bad
+        with pytest.raises(DomainError, match="finite"):
+            ParamSet(**args)
+
     def test_dual_swaps_weights(self):
         P = ParamSet(0.0, 2.0, 0.25, 0.75)
         D = dual(P)
@@ -127,6 +137,25 @@ class TestGrids:
         with pytest.raises(DomainError, match="at least one axis"):
             GridND(())
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (math.nan, 1.0), (0.0, math.nan),
+                                      (-1e308, 1e308)])
+    def test_rejects_non_finite_ends(self, a, b):
+        # (0, inf) and (-1e308, 1e308), whose span overflows, used to build
+        # NaN nodes.
+        with pytest.raises(DomainError, match="finite"):
+            make_uniform_grid(a, b, 4)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(4.0), "4", None])
+    def test_rejects_non_integer_size(self, n):
+        # Floats used to raise a bare TypeError from np.linspace.
+        with pytest.raises(DomainError, match="integer n"):
+            make_uniform_grid(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint16(4)])
+    def test_accepts_numpy_integer_size(self, n):
+        assert make_uniform_grid(0.0, 1.0, n) == make_uniform_grid(0.0, 1.0, 4)
+
     def test_trapezoid_weights_sum_to_length(self):
         g = make_uniform_grid(0.0, 2.0, 7)
         w = g.trapezoid_weights()
@@ -166,6 +195,23 @@ class TestField:
         grid = grid_1d(0.0, 1.0, 4)
         with pytest.raises(DomainError):
             Field(grid, np.array([0.0, 1.0, np.nan, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("values", [
+        np.full((1, 5), 1j), np.full(5, 1.0 + 0j), np.array(["1"] * 5),
+        np.array([b"1"] * 5), np.full(5, 1.0, dtype=object)],
+        ids=["complex", "complex-zero-imag", "str", "bytes", "object"])
+    def test_rejects_non_real_dtypes(self, values):
+        # Complex values used to lose their imaginary part under a
+        # ComplexWarning, and strings were parsed as numbers.
+        with pytest.raises(DomainError, match="bool, integer or float"):
+            Field(grid_1d(0.0, 1.0, 4), values)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint32, np.int64,
+                                       np.float16, np.float32, np.float64])
+    def test_accepts_real_dtypes(self, dtype):
+        f = Field(grid_1d(0.0, 1.0, 4), np.ones(5, dtype=dtype))
+        assert f.values.dtype == np.float64
+        np.testing.assert_array_equal(f.values, np.ones((1, 5)))
 
     def test_values_are_read_only(self):
         f = Field(grid_1d(0.0, 1.0, 4), np.zeros(5))

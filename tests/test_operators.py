@@ -244,6 +244,14 @@ class TestTabulatedKernels:
         # (about 2 sqrt(s_0)/sqrt(pi) of kernel mass); modest bound.
         assert max_err(out, exact) < 1e-2
 
+    def test_gauss_nodes_are_leggauss_on_unit_interval(self):
+        # Built on first use, bit for bit the nodes and weights of
+        # leggauss(8) mapped to (0, 1).
+        x, w = np.polynomial.legendre.leggauss(8)
+        gx, gw = operators._gauss01()
+        assert gx.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert gw.tobytes() == (0.5 * w).tobytes()
+
     def test_resolution_too_coarse(self):
         grid = grid_1d(0.0, 1.0, 64)
         kern = tabulated_kernel(self.rl_samples(0.5, 1.0, 12))
