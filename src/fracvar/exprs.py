@@ -13,7 +13,9 @@ arity is 1, otherwise t2 -- the first space axis of a time-first grid) and,
 when enabled, the field value u.  Functions: sin, cos, exp, sqrt, abs.
 Parse errors carry the character position; out-of-range variables raise
 ArityError at parse time; non-finite values during evaluation (division by
-zero, sqrt of a negative) raise EvalError.
+zero, sqrt of a negative, overflow, a negative base to a fractional power)
+raise EvalError, constant subexpressions included: number atoms and pi are
+numpy float64 scalars, so all arithmetic is numpy's.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ _FUNCTIONS = {
     "sqrt": np.sqrt,
     "abs": np.abs,
 }
+
+# Constants are numpy scalars, so that constant subexpressions such as 1/0,
+# 10^400 or (0-8)^(1/3) evaluate in numpy under the caller's errstate, to
+# inf or NaN, rather than raising or turning complex in Python arithmetic.
+_PI = np.float64(np.pi)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -113,7 +120,7 @@ class _Parser:
     def _atom(self) -> Callable:
         kind, value, pos = self._next()
         if kind == "number":
-            const = float(value)
+            const = np.float64(value)
             return lambda env: const
         if kind == "op" and value == "(":
             node = self._expr()
@@ -131,7 +138,7 @@ class _Parser:
 
     def _name(self, name: str, pos: int) -> Callable:
         if name == "pi":
-            return lambda env: np.pi
+            return lambda env: _PI
         if name in _FUNCTIONS:
             tok = self._peek()
             if tok is None or tok[0] != "op" or tok[1] != "(":

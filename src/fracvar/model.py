@@ -204,7 +204,9 @@ def make_uniform_grid(a: float, b: float, n: int) -> Grid1D:
 
 @dataclass(frozen=True)
 class GridND:
-    """Cartesian product of 1D grids: the rectangle (a_1,b_1) x ... x (a_d,b_d)."""
+    """Cartesian product of 1D grids: the rectangle (a_1,b_1) x ... x (a_d,b_d).
+    Raises DomainError unless there is at least one axis and every axis is
+    a Grid1D."""
 
     axes: tuple[Grid1D, ...]
 
@@ -212,6 +214,10 @@ class GridND:
         axes = tuple(self.axes)
         if len(axes) < 1:
             raise DomainError("GridND requires at least one axis")
+        for ax in axes:
+            if not isinstance(ax, Grid1D):
+                raise DomainError(
+                    f"GridND axes must be Grid1D grids, got {ax!r}")
         object.__setattr__(self, "axes", axes)
 
     @property

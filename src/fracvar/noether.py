@@ -58,7 +58,8 @@ class SymmetryGenerator:
 
     def sample(self, spec: ProblemSpec, u: Field) -> Field:
         """The samples xi(t, u) broadcast to (N, *shape); any other shape
-        raises GridMismatch."""
+        raises GridMismatch, and a dtype other than bool, integer or float
+        (complex, string, object) raises DomainError."""
         vals = _shaped(self.xi(spec.grid.coords(), u.values),
                        (u.ncomp,) + spec.grid.shape,
                        f"generator {self.description!r} output")

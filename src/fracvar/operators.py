@@ -58,6 +58,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +274,16 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     mismatching explicit order raises OrderError.  Every argument is checked
     on every call; the quadrature symbol is then looked up in the shared
     cache and computed only on a miss.
+
+    Raises DomainError unless kind is an OpKind (its string value is not
+    accepted), OrderError unless order is a real number (int, float or a
+    numpy integer or floating scalar) in the kind's range, and AxisError
+    unless axis is a nonnegative int or numpy integer (a bool is refused).
     """
+    if not isinstance(kind, OpKind):
+        raise DomainError(f"kind must be an OpKind, got {kind!r}")
+    if not isinstance(order, numbers.Real):
+        raise OrderError(f"order must be a real number, got {order!r}")
     if kind is OpKind.K:
         if not (0.0 < order <= 1.0):
             raise OrderError(f"K requires order in (0, 1], got {order}")
@@ -292,6 +302,8 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
         raise GridMismatch(
             f"p-set interval ({pset.a}, {pset.b}) does not match grid "
             f"interval ({grid.a}, {grid.b})")
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
+        raise AxisError(f"axis must be an integer, got {axis!r}")
     if axis < 0:
         raise AxisError(f"axis must be nonnegative, got {axis}")
     if kernel.family is KernelFamily.TABULATED:

@@ -27,11 +27,14 @@ antisymmetry is exact).
 The residuals run on value arrays through the unchecked operator pair
 ``operators._apply`` / ``operators._adjoint``: the field is checked once on
 entry and the result is the one ``Field`` built.  Both Euler-Lagrange
-residuals share one body, ``_el``.
+residuals share one body, ``_el``.  Lagrangian outputs are only read:
+``_partials`` returns them uncopied, and ``_el`` copies dF/du into the one
+array it writes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -61,7 +64,13 @@ class Lagrangian:
       d_v / d_w           -> arrays of exactly the shape (N, n, *shape)
     with t a length-n list of broadcastable coordinate arrays, u of shape
     (N, *shape), v and w of shape (N, n, *shape).  Any other output shape
-    raises GridMismatch.
+    raises GridMismatch, and an output whose dtype is not bool, integer or
+    float (complex, string, object) raises DomainError.
+
+    Outputs may be read-only views: fracvar never writes into a callback
+    output.  A block that is constant over the grid can therefore be
+    returned as ``np.broadcast_to(c, shape)``, which costs no grid-sized
+    memory; the built-in Lagrangians return their zero blocks so.
     """
 
     n: int
@@ -114,9 +123,15 @@ def _gradient_check(lag: Lagrangian) -> None:
 def _shaped(value, shape: tuple, label: str, exact: bool = False
             ) -> np.ndarray:
     """A callback output (label names it) as a float array of the given
-    shape: exactly that shape when exact, otherwise broadcast to it.
-    Raises GridMismatch for any other shape."""
-    arr = np.asarray(value, dtype=float)
+    shape: exactly that shape when exact, otherwise broadcast to it, and
+    no copy of a float array.  Raises DomainError unless the output's dtype
+    is bool, integer or float (a complex output is refused, not cast), and
+    GridMismatch for any other shape."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{label} must be bool, integer or float, got "
+                          f"dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if exact:
         if arr.shape == shape:
             return arr
@@ -133,12 +148,13 @@ def _shaped(value, shape: tuple, label: str, exact: bool = False
 def _partials(lag: Lagrangian, args: tuple, with_du: bool = True):
     """(dF/du, dF/dv, dF/dw) at the callback arguments args = (t, u, v, w),
     called in that order and shaped as the Lagrangian contract promises:
-    dF/du broadcast into a new array of u's shape (None unless with_du),
-    dF/dv and dF/dw of exactly the shape of v and w."""
+    dF/du broadcast to u's shape (None unless with_du), dF/dv and dF/dw of
+    exactly the shape of v and w.  Nothing is copied: the outputs may be
+    read-only views (of a constant, or of the arguments), so callers only
+    read them."""
     _, u, v, w = args
     label = "Lagrangian output dF/d"
-    du = (np.array(_shaped(lag.d_u(*args), u.shape, label + "u"))
-          if with_du else None)
+    du = _shaped(lag.d_u(*args), u.shape, label + "u") if with_du else None
     return (du, _shaped(lag.d_v(*args), v.shape, label + "v", exact=True),
             _shaped(lag.d_w(*args), w.shape, label + "w", exact=True))
 
@@ -250,9 +266,14 @@ def _el(spec: ProblemSpec, u: Field, mixed: bool) -> Field:
     """The residual of el_residual, or of el_residual_mixed when mixed: the
     w block and the adjoint of its operator are the classical gradient and
     -d/dt_i instead of K_{P2_i} and K_{P2_i*}, at an admissible u.  It
-    runs on arrays; the result is the one Field it builds."""
-    # The blocks are released on return: the loop reads only the partials.
-    res, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values, mixed))
+    runs on arrays; the result is the one Field it builds.
+
+    The blocks are released when ``_partials`` returns; only then is
+    dF/du copied into the accumulator, the one array the loop writes, so
+    the partials themselves may be read-only views.  On the 3D Dirichlet
+    integrand the call holds at most 9 grid-sized arrays."""
+    du, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values, mixed))
+    res = np.array(du)
     b_plans = spec.b_plans()
     k_duals = None if mixed else _k_dual_plans(spec)
     for i, bp in enumerate(b_plans):
@@ -299,9 +320,11 @@ def wave_residual(u: Field, rho: float, stiffness: float,
         rho . A_{Pt*}^a B_{Pt}^a u - sum_i A_{P*_xi}^{b_i}(stiffness . B_{P_xi}^{b_i} u)
 
     The starred operators are built directly on the dual p-sets.  Only
-    interior nodes are meaningful."""
-    if rho <= 0.0 or stiffness <= 0.0:
-        raise DomainError(f"rho and stiffness must be positive, got {rho}, {stiffness}")
+    interior nodes are meaningful.  Raises DomainError unless rho and
+    stiffness are finite and positive (NaN and inf are refused)."""
+    if not (0.0 < rho < math.inf and 0.0 < stiffness < math.inf):
+        raise DomainError(f"rho and stiffness must be finite and positive, "
+                          f"got {rho}, {stiffness}")
     grid = u.grid
     if grid.ndim > 3:
         raise DomainError("wave grids have one time axis plus up to 2 space axes")
@@ -332,9 +355,9 @@ def dirichlet_energy_lagrangian(n: int, N: int = 1) -> Lagrangian:
     return Lagrangian.define(
         n, N,
         eval_fn=lambda t, u, v, w: np.sum(v * v, axis=(0, 1)),
-        d_u=lambda t, u, v, w: np.zeros_like(u),
+        d_u=lambda t, u, v, w: np.broadcast_to(0.0, u.shape),
         d_v=lambda t, u, v, w: 2.0 * v,
-        d_w=lambda t, u, v, w: np.zeros_like(w),
+        d_w=lambda t, u, v, w: np.broadcast_to(0.0, w.shape),
         name="dirichlet_energy")
 
 
@@ -347,7 +370,7 @@ def wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrang
         return out
 
     def d_w(t, u, v, w):
-        out = -2.0 * stiffness * w.copy()
+        out = -2.0 * stiffness * w
         out[0, 0] = 0.0
         return out
 
@@ -355,7 +378,7 @@ def wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrang
         n, 1,
         eval_fn=lambda t, u, v, w: (rho * v[0, 0] ** 2
                                     - stiffness * np.sum(w[0, 1:] ** 2, axis=0)),
-        d_u=lambda t, u, v, w: np.zeros_like(u),
+        d_u=lambda t, u, v, w: np.broadcast_to(0.0, u.shape),
         d_v=d_v, d_w=d_w,
         name="wave")
 
@@ -363,7 +386,7 @@ def wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrang
 def frac_wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrangian:
     """F = rho v_t^2 - stiffness sum_i v_xi^2: fully fractional wave."""
     def d_v(t, u, v, w):
-        out = -2.0 * stiffness * v.copy()
+        out = -2.0 * stiffness * v
         out[0, 0] = 2.0 * rho * v[0, 0]
         return out
 
@@ -371,26 +394,20 @@ def frac_wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> La
         n, 1,
         eval_fn=lambda t, u, v, w: (rho * v[0, 0] ** 2
                                     - stiffness * np.sum(v[0, 1:] ** 2, axis=0)),
-        d_u=lambda t, u, v, w: np.zeros_like(u),
+        d_u=lambda t, u, v, w: np.broadcast_to(0.0, u.shape),
         d_v=d_v,
-        d_w=lambda t, u, v, w: np.zeros_like(w),
+        d_w=lambda t, u, v, w: np.broadcast_to(0.0, w.shape),
         name="frac_wave")
 
 
 def integral_coupling_lagrangian(n: int, N: int = 1) -> Lagrangian:
     """F = sum_k u_k sum_i w[k][i]: couples the field to its K block."""
-    def d_u(t, u, v, w):
-        return np.sum(w, axis=1)
-
-    def d_w(t, u, v, w):
-        return np.broadcast_to(u[:, np.newaxis], w.shape).copy()
-
     return Lagrangian.define(
         n, N,
         eval_fn=lambda t, u, v, w: np.sum(u[:, np.newaxis] * w, axis=(0, 1)),
-        d_u=d_u,
-        d_v=lambda t, u, v, w: np.zeros_like(v),
-        d_w=d_w,
+        d_u=lambda t, u, v, w: np.sum(w, axis=1),
+        d_v=lambda t, u, v, w: np.broadcast_to(0.0, v.shape),
+        d_w=lambda t, u, v, w: np.broadcast_to(u[:, np.newaxis], w.shape),
         name="integral_coupling")
 
 

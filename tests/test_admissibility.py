@@ -5,7 +5,8 @@ Lagrangian or symmetry-generator output of the wrong shape raise
 GridMismatch; an axis that the grid does not have raises AxisError; the
 integration-by-parts checks take single-component fields only
 (DomainError), and a NaN partial makes every Euler-Lagrange and Noether
-entry raise DomainError.
+entry raise DomainError, as does a Lagrangian or generator output whose
+dtype is not bool, integer or float.
 """
 
 import dataclasses
@@ -265,3 +266,34 @@ def test_nan_partial_raises_domain_error(name, which, grid):
     else:
         with pytest.raises(DomainError):
             SPEC_ENTRIES[name](spec, field(grid))
+
+
+# The Lagrangian output each entry reads first.
+OUTPUT_ENTRIES = {"d_u": "el_residual", "d_v": "el_residual",
+                  "d_w": "el_residual", "eval_fn": "evaluate_functional"}
+
+
+@pytest.mark.parametrize("which", sorted(OUTPUT_ENTRIES))
+def test_complex_output_raises_domain_error(which):
+    # A complex output used to be cast to float with a ComplexWarning,
+    # which dropped its imaginary part from the result.
+    lag = dirichlet_energy_lagrangian(2)
+    fn = getattr(lag, which)
+    spec = problem(GRID_2D, dataclasses.replace(
+        lag, **{which: lambda *args: fn(*args) + 1j}))
+    with pytest.raises(DomainError, match="complex"):
+        SPEC_ENTRIES[OUTPUT_ENTRIES[which]](spec, field(GRID_2D))
+
+
+def test_string_output_raises_domain_error():
+    # np.asarray("zero", dtype=float) raised a bare ValueError.
+    spec = problem(GRID_2D, dataclasses.replace(
+        dirichlet_energy_lagrangian(2), d_u=lambda *args: "zero"))
+    with pytest.raises(DomainError, match="dtype"):
+        el_residual(spec, field(GRID_2D))
+
+
+def test_complex_generator_raises_domain_error():
+    gen = SymmetryGenerator(lambda t, u: np.ones_like(u) + 1j, "complex")
+    with pytest.raises(DomainError, match="complex"):
+        invariance_residual(problem(GRID_2D), field(GRID_2D), gen)

@@ -191,6 +191,19 @@ def test_order_est_range_without_order_column_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["1/0 + t1", "(0-8)^(1/3) + t1"])
+def test_non_finite_constant_field_exits_1(tmp_path, capsys, field):
+    # A constant subexpression that is not finite (or, in Python floats,
+    # complex) is an EvalError: no traceback and no CSV.
+    payload = load_payload("op_apply_halfint.json")
+    payload["problem"]["field"] = field
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not outputs(tmp_path, payload)[0].exists()
+
+
 def test_decrease_factor_min_without_error_column_exits_1(tmp_path, capsys):
     # op-apply writes no error column, so there is no sweep of errors whose
     # decrease the bound could measure.

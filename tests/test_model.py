@@ -137,6 +137,15 @@ class TestGrids:
         with pytest.raises(DomainError, match="at least one axis"):
             GridND(())
 
+    @pytest.mark.parametrize("axes", [(1, 2), (make_uniform_grid(0.0, 1.0, 4), None),
+                                      ((0.0, 1.0, 4),)],
+                             ids=["ints", "grid-and-none", "tuple"])
+    def test_grid_nd_rejects_non_grid_axes(self, axes):
+        # GridND((1, 2)) used to be built, and .shape then raised a bare
+        # AttributeError.
+        with pytest.raises(DomainError, match="Grid1D"):
+            GridND(axes)
+
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
                                       (math.nan, 1.0), (0.0, math.nan),
                                       (-1e308, 1e308)])

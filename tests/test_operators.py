@@ -75,6 +75,25 @@ class TestPlanConstruction:
         with pytest.raises(AxisError):
             apply_op_nd(plan, f)
 
+    @pytest.mark.parametrize("kind, order, axis, error", [
+        # The string fails "kind is OpKind.K", so it was built as an A/B
+        # plan of effective order 1 - 0.3.
+        ("K", 0.3, 0, DomainError),
+        (OpKind.K, 0.3, 0.0, AxisError),
+        (OpKind.K, 0.3, True, AxisError),
+        (OpKind.K, "0.5", 0, OrderError),
+    ], ids=["string-kind", "float-axis", "bool-axis", "string-order"])
+    def test_argument_types(self, kind, order, axis, error):
+        g = make_uniform_grid(0.0, 1.0, 8)
+        with pytest.raises(error):
+            make_plan(kind, order, LEFT, rl_kernel(), g, axis=axis)
+
+    def test_numpy_scalar_arguments_accepted(self):
+        g = make_uniform_grid(0.0, 1.0, 8)
+        plan = make_plan(OpKind.K, np.float64(0.3), LEFT, rl_kernel(), g,
+                         axis=np.int64(1))
+        assert plan.axis == 1 and plan.order == 0.3
+
     def test_triangular_structure(self):
         # One-sided p-sets isolate the parts: the left integral is lower
         # triangular, the right one upper triangular.

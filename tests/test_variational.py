@@ -16,9 +16,36 @@ from fracvar import (BUILTIN_LAGRANGIANS, DirichletSpec, Field, GridND,
 from fracvar.errors import (BoundaryViolation, DomainError,
                             GradientCheckError, GridMismatch, LengthMismatch)
 from fracvar.model import check_admissible
+from fracvar.noether import (SymmetryGenerator, chain_identity_residual,
+                             invariance_residual, noether_residual)
 
 LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
+
+
+def coupled_lagrangian(n, read_only):
+    """F = sum_k (u_k^2 + sum_i (v[k][i]^2 + u_k w[k][i])), built with
+    Lagrangian.define.  With read_only its four outputs are read-only:
+    F, dF/du and dF/dv frozen with setflags, dF/dw a broadcast view of u;
+    otherwise all four are fresh writeable arrays."""
+    def out(value):
+        value = np.array(value)
+        value.setflags(write=not read_only)
+        return value
+
+    def d_w(t, u, v, w):
+        view = np.broadcast_to(u[:, np.newaxis], w.shape)
+        return view if read_only else view.copy()
+
+    return Lagrangian.define(
+        n, 1,
+        eval_fn=lambda t, u, v, w: out(
+            np.sum(u * u, axis=0)
+            + np.sum(v * v + u[:, np.newaxis] * w, axis=(0, 1))),
+        d_u=lambda t, u, v, w: out(2.0 * u + np.sum(w, axis=1)),
+        d_v=lambda t, u, v, w: out(2.0 * v),
+        d_w=d_w,
+        name="coupled")
 
 
 def spec_1d(n, lagrangian=None, pset1=SYM, pset2=LEFT, alpha=0.5, beta=0.5):
@@ -207,6 +234,48 @@ class TestElResidual:
             tracemalloc.stop()
         assert peak <= 15.0 * u.values.nbytes
 
+    def test_3d_dirichlet_peak_memory(self):
+        # The constant partials of the Dirichlet integrand are broadcast
+        # views and dF/du is copied only after the blocks are released: the
+        # call peaks at 9 fields of 33^3 nodes above its baseline (the v and
+        # w blocks and dF/dv, 3 fields each), not 13.
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0, 32) for _ in range(3)))
+        spec = ProblemSpec(grid, dirichlet_energy_lagrangian(3), [SYM] * 3,
+                           [LEFT] * 3, [0.5] * 3, [0.5] * 3,
+                           [rl_kernel()] * 3, [rl_kernel()] * 3)
+        u = Field.from_function(grid, lambda t1, t2, t3: np.sin(t1) + t2 * t3)
+        el_residual(spec, u)
+        tracemalloc.start()
+        try:
+            el_residual(spec, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.0 * u.values.nbytes
+
+    def test_read_only_partials_give_the_same_bits(self):
+        # fracvar never writes into a callback output, so a Lagrangian may
+        # return read-only arrays and broadcast views; every residual is
+        # then bitwise that of the same Lagrangian returning fresh arrays.
+        grid = GridND((make_uniform_grid(0.0, 1.0, 12),
+                       make_uniform_grid(0.0, 1.0, 9)))
+        u = Field.from_function(grid, lambda t1, t2: np.cos(t1 + 2.0 * t2))
+        gen = SymmetryGenerator(lambda t, u: np.sin(t[0]) + 0.5 * u, "mix")
+        results = []
+        for read_only in (False, True):
+            spec = ProblemSpec(grid, coupled_lagrangian(2, read_only),
+                               [SYM, LEFT], [LEFT, SYM], [0.5, 0.4],
+                               [0.3, 0.6], [rl_kernel()] * 2,
+                               [rl_kernel()] * 2)
+            results.append([
+                el_residual(spec, u).values.tobytes(),
+                el_residual_mixed(spec, u).values.tobytes(),
+                noether_residual(spec, u, gen).values.tobytes(),
+                invariance_residual(spec, u, gen).values.tobytes(),
+                np.float64(chain_identity_residual(spec, u, gen)).tobytes(),
+                np.float64(evaluate_functional(spec, u)).tobytes()])
+        assert results[0] == results[1]
+
     def test_mixed_variant_tracks_wave_residual(self):
         # el_residual_mixed of the wave integrand and -2x wave_residual are
         # independent realizations of the same density; away from the ends
@@ -266,6 +335,16 @@ class TestWaveResidual:
         u4 = Field.constant(GridND((make_uniform_grid(0.0, 1.0, 2),) * 4), 1.0)
         with pytest.raises(DomainError, match="up to 2 space axes"):
             wave_residual(u4, 1.0, 1.0, (LEFT, 0.5, rl_kernel()))
+
+    @pytest.mark.parametrize("rho, stiffness", [
+        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)],
+        ids=["rho-nan", "stiffness-nan", "rho-inf", "stiffness-inf"])
+    def test_non_finite_parameters_rejected(self, rho, stiffness):
+        # NaN passed "<= 0" and failed later as a non-finite field; inf
+        # first made numpy warn of inf * 0.
+        u = Field.constant(self.grid2(8), 1.0)
+        with pytest.raises(DomainError, match="finite and positive"):
+            wave_residual(u, rho, stiffness, (LEFT, 0.5, rl_kernel()))
 
     def test_short_space_axis_rejected(self):
         # The classical second derivative's end rows read four nodes.
