@@ -7,9 +7,12 @@ A config file is one JSON document:
       "problem": { ... nested problem description ... },
       "sweep": [64, 128, 256],          // optional distinct grid sizes, each >= 4
       "tolerances": { "residual_abs": 5e-3, ... },
-      "seed": 42,
-      "output_path": "ibp.csv"
+      "seed": 42,                       // optional integer >= 0
+      "output_path": "ibp.csv",
+      "description": "..."              // optional, for the reader only
     }
+
+These seven are the only top-level keys.
 
 The problem block names grids, p-sets, orders, kernels, built-in Lagrangians
 and expression-valued functions.  Its ``interval`` is [a, b] (default
@@ -19,10 +22,14 @@ size used when there is no sweep, an integer >= 4 like the sweep entries
 
 load_config resolves the document once, and resolving is the validation:
 _SCHEMAS lists the keys each command reads and what each resolves to, and a
-bad value raises ConfigError naming the key in ``field``.  Numbers must be
-finite (the NaN and Infinity literals that Python's json reads are
-rejected) and flags must be JSON true or false.  The runner gets
-the resolved Problem and adds only what depends on the grid.
+bad value raises ConfigError naming the key in ``field``.  A command's
+schema is also the list of the problem keys it accepts, beside
+``interval``, ``ndim`` and ``size``: any other key, an expression the
+command does not read or a misspelt key alike, is an error, as is any
+other top-level key.  Numbers must be finite (the NaN and Infinity literals
+that Python's json reads are rejected) and flags must be JSON true or
+false.  The runner gets the resolved Problem and adds only what depends on
+the grid.
 
 Tolerance keys refer to CSV columns: a bare column name bounds the last
 row's value, ``<column>_max`` bounds the maximum over rows,
@@ -48,9 +55,9 @@ from .noether import SymmetryGenerator
 from .operators import OpKind
 from .variational import BUILTIN_LAGRANGIANS, Lagrangian
 
-# Parsed for every command when present, in this order; only "generator"
-# may use the state u.
-_EXPRESSIONS = ("f", "eta", "field", "boundary", "generator", "oracle")
+# The top-level keys; a description is for the reader and is not read.
+_TOP_LEVEL = ("command", "problem", "sweep", "tolerances", "seed",
+              "output_path", "description")
 
 
 class Problem(SimpleNamespace):
@@ -99,6 +106,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(raw, _TOP_LEVEL)
 
     command = raw.get("command")
     if command not in COMMANDS:
@@ -135,8 +143,8 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"tolerance {key!r} must be a number", field=key)
 
     seed = raw.get("seed", 42)
-    if not _integer(seed):
-        raise ConfigError("'seed' must be an integer", field="seed")
+    if not (_integer(seed) and seed >= 0):
+        raise ConfigError("'seed' must be an integer >= 0", field="seed")
 
     output_path = raw.get("output_path")
     if not isinstance(output_path, str) or not output_path:
@@ -148,7 +156,17 @@ def load_config(path: str) -> ExperimentConfig:
                             sweep, tolerances, seed, output_path)
 
 
+def _reject_unknown(raw: dict, allowed) -> None:
+    """Raise ConfigError naming the first key of raw not in allowed."""
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}; expected one of "
+                              f"{', '.join(allowed)}", field=key)
+
+
 def _resolve_problem(command: str, raw: dict, size: int, seed: int) -> Problem:
+    schema = _SCHEMAS[command]
+    _reject_unknown(raw, dict.fromkeys(("interval", "ndim", "size", *schema)))
     iv = raw.get("interval", [0.0, 1.0])
     if (not isinstance(iv, list) or len(iv) != 2
             or not all(_number(v) for v in iv) or not iv[0] < iv[1]):
@@ -159,13 +177,8 @@ def _resolve_problem(command: str, raw: dict, size: int, seed: int) -> Problem:
         raise ConfigError("'ndim' must be 1, 2, or 3", field="ndim")
     problem = Problem(ndim=ndim, interval=(float(iv[0]), float(iv[1])),
                       size=size, seed=seed)
-    schema = _SCHEMAS[command]
-    # Other keys, then all expression keys; unread ones are parsed and dropped.
-    keys = [k for k in schema if k not in _EXPRESSIONS]
-    for key in keys + list(_EXPRESSIONS):
-        value = schema.get(key, _expression(False))(raw, key, problem)
-        if key in schema:
-            setattr(problem, key, value)
+    for key, resolve in schema.items():
+        setattr(problem, key, resolve(raw, key, problem))
     return problem
 
 

@@ -104,14 +104,14 @@ def energy(spec: DirichletSpec, u: Field) -> float:
 def bvp_residual(spec: DirichletSpec, u: Field) -> Field:
     """sum_i A_{P_i*}^{alpha_i}(B_{P_i}^{alpha_i} u), the starred operators
     realized as exact transposes; zero in the interior characterizes the
-    solution.  The sum runs on arrays: each term is ``_adjoint`` of B u
-    with negate=False, subtracted from 0.  x - y rounds as x + (-y),
-    signed zeros included, so the sum is bitwise that of the negated terms
-    of ``adjoint_apply``."""
+    solution.  The sum runs on arrays: A_{P_i*} is minus the plain
+    transpose, so each term ``_adjoint`` of B u is subtracted, the first
+    from 0.  x - y rounds as x + (-y), signed zeros included, so the sum is
+    bitwise that of the terms of ``adjoint_apply`` with negate=True."""
     check_field(u, spec.grid, 1)
     out = None
     for bp in spec.b_plans():
-        term = _adjoint(bp, _apply(bp, u.values), negate=False)
+        term = _adjoint(bp, _apply(bp, u.values))
         if out is None:
             out = np.subtract(0.0, term, out=term)
         else:

@@ -77,11 +77,17 @@ class KernelSpec:
     case operator construction resolves it to the effective order the
     operator needs (alpha for a K-op, 1-alpha for A/B-ops).  If set, it must
     match that effective order.
+
+    Kernels compare and hash by content: family, order and the bytes of
+    the samples (a read-only copy), so equal kernels built apart are equal
+    and key one cache entry.
     """
 
     family: KernelFamily
     order: Optional[float] = None
-    samples: Optional[np.ndarray] = None
+    samples: Optional[np.ndarray] = dc_field(default=None, compare=False)
+    _sample_bytes: Optional[bytes] = dc_field(init=False, repr=False,
+                                              default=None)
 
     def __post_init__(self) -> None:
         if self.family is KernelFamily.RIEMANN_LIOUVILLE:
@@ -109,6 +115,7 @@ class KernelSpec:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, "samples", arr)
+            object.__setattr__(self, "_sample_bytes", arr.tobytes())
 
     def with_order(self, order: float) -> "KernelSpec":
         return KernelSpec(self.family, order, self.samples)
@@ -250,13 +257,16 @@ def grid_1d(a: float, b: float, n: int) -> GridND:
     return GridND((make_uniform_grid(a, b, n),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """N-component function sampled on every node of a GridND.
 
     ``values`` has shape (N, m_1+1, ..., m_d+1).  Raises DomainError
     unless the values have a bool, integer or float dtype (complex, string
     and object arrays are refused, not cast) and are finite.
+
+    Two fields are equal when their grids are equal and their values are
+    equal under ``np.array_equal``; a field is not hashable.
     """
 
     grid: GridND
@@ -283,6 +293,12 @@ class Field:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid == other.grid
+                and np.array_equal(self.values, other.values))
 
     @property
     def ncomp(self) -> int:

@@ -103,8 +103,10 @@ def _invariance(spec: ProblemSpec, u: Field, xi: Field) -> Field:
 
 
 def _bracket_D(bp: FracOpPlan, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """D[f, g] on value arrays, with the B_P plan bp of the axis."""
-    return f * _adjoint(bp, g, negate=True) + g * _apply(bp, f)
+    """D[f, g] on value arrays, with the B_P plan bp of the axis.  A_{P*} g
+    is minus the plain transpose ``_adjoint(bp, g)``, so its term is
+    subtracted; g * a - f * b rounds as f * (-b) + g * a, bit for bit."""
+    return g * _apply(bp, f) - f * _adjoint(bp, g)
 
 
 def _bracket_I(kp: FracOpPlan, kdp: FracOpPlan, f: np.ndarray,

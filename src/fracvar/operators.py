@@ -46,11 +46,13 @@ per axis (``axis_plans``), and a starred operator is ``make_plan`` on the
 dual p-set (``model.dual``) or, for the exact transpose, ``adjoint_apply``.
 
 Inside the package operators run on value arrays (component axis 0 first)
-through one unchecked pair, ``_apply`` and ``_adjoint``; ``apply_op_nd`` and
-``adjoint_apply`` check the field against the plan and wrap the result in a
-``Field``.  A product does not depend on the memory layout of its input, so
-the same values give the same bits whether they come from a ``Field`` or
-from a strided slice of an intermediate array.
+through one unchecked pair, ``_apply`` and ``_adjoint`` (the plain
+transpose, with no sign); ``apply_op_nd`` and ``adjoint_apply`` check the
+field against the plan and wrap the result in a ``Field``, and
+``adjoint_apply`` alone negates on request.  A product does not depend on
+the memory layout of its input, so the same values give the same bits
+whether they come from a ``Field`` or from a strided slice of an
+intermediate array.
 """
 
 from __future__ import annotations
@@ -186,20 +188,15 @@ class _Symbol:
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_symbol(family: KernelFamily, order: float | None,
-                   samples: bytes | None, grid: Grid1D
+def _shared_symbol(kernel: KernelSpec, grid: Grid1D
                    ) -> tuple[_Symbol, _Symbol]:
     """The symbols of the K quadrature (K, A) and of the L1 construction
-    (B) on grid, both from one set of cell moments, for the kernel of this
-    family with this resolved order (RL only) and these sample bytes
-    (tabulated only).  An A and a B plan of one order, whose kernels have
-    the same effective order, thus share one entry.  The key is the
-    content, never an object id, so equal kernels share an entry.  The 16
-    most recently used entries are kept."""
-    if samples is not None:
-        kernel = KernelSpec(family, None, np.frombuffer(samples).reshape(-1, 2))
-    else:
-        kernel = KernelSpec(family, order)
+    (B) on grid, both from one set of cell moments, for a resolved kernel
+    (an RL kernel carries its effective order).  An A and a B plan of one
+    order, whose kernels have the same effective order, thus share one
+    entry.  The key is the kernel itself, which compares and hashes by its
+    content (family, order and sample bytes), never by object id, so equal
+    kernels share an entry.  The 16 most recently used entries are kept."""
     h = grid.h
     m0, u, v = _cell_moments(kernel, grid)
     # An interior node at distance d >= 1 weighs u(d) + v(d+1).
@@ -309,10 +306,7 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     if kernel.family is KernelFamily.TABULATED:
         _check_tabulated_resolution(kernel, grid)
 
-    k_type, l1 = _shared_symbol(
-        kernel.family,
-        kernel.order if kernel.family is KernelFamily.RIEMANN_LIOUVILLE else None,
-        None if kernel.samples is None else kernel.samples.tobytes(), grid)
+    k_type, l1 = _shared_symbol(kernel, grid)
     shared = l1 if kind is OpKind.B else k_type
     return FracOpPlan(kind, order, pset, kernel, axis, grid, shared)
 
@@ -409,12 +403,14 @@ def _apply(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoint(plan: FracOpPlan, vals: np.ndarray, negate: bool) -> np.ndarray:
-    """``adjoint_apply`` on a value array (component axis 0 first),
-    unchecked: the values weighted by the trapezoid weights of the plan's
-    axis into a new C-order array, which a dense product reads without a
-    copy, then the transposed stencil (A) and Toeplitz product, then the
-    division by the weights and the sign, in place on the new result."""
+def _adjoint(plan: FracOpPlan, vals: np.ndarray) -> np.ndarray:
+    """The exact transpose w^-1 M^T (w g) of ``_apply`` in the trapezoid
+    inner product, on a value array (component axis 0 first), unchecked and
+    unsigned: the integration-by-parts sign is the caller's.  The values
+    are weighted by the trapezoid weights of the plan's axis into a new
+    C-order array, which a dense product reads without a copy, then the
+    transposed stencil (A) and Toeplitz product run, then the division by
+    the weights, in place on the new result."""
     w = plan.grid.trapezoid_weights()
     w = w.reshape(w.shape + (1,) * (vals.ndim - plan.axis - 2))
     g = np.multiply(vals, w, order="C")
@@ -422,8 +418,6 @@ def _adjoint(plan: FracOpPlan, vals: np.ndarray, negate: bool) -> np.ndarray:
         g = derivative_along_axis(g, plan.grid, plan.axis, transpose=True)
     out = toeplitz_along_axis(plan, g, transpose=True)
     out /= w
-    if negate:
-        np.negative(out, out=out)
     return out
 
 
@@ -457,11 +451,13 @@ def adjoint_apply(plan: FracOpPlan, f: Field, negate: bool) -> Field:
     after the weights, so the stencil's transpose is applied first and the
     weights' transpose (``toeplitz_along_axis`` with transpose=True) second.
 
-    With a B-plan and negate=True this realizes A_{P*}^alpha:  the discrete
-    counterpart of  int f . B_P eta = -int eta . A_{P*} f  (+ boundary), with
-    the boundary term absorbed so the identity is exact in floating point.
-    With a K-plan and negate=False it realizes K_{P*}^alpha likewise.
+    ``_adjoint`` is the plain transpose; only this public wrapper takes a
+    sign, negating the result in place when negate is True.  With a B-plan
+    and negate=True it realizes A_{P*}^alpha:  the discrete counterpart of
+    int f . B_P eta = -int eta . A_{P*} f  (+ boundary), with the boundary
+    term absorbed so the identity is exact in floating point.  With a
+    K-plan and negate=False it realizes K_{P*}^alpha likewise.
     """
     _check_plan_grid(plan, f)
-    return Field(f.grid, _adjoint(plan, f.values, negate))
-
+    out = _adjoint(plan, f.values)
+    return Field(f.grid, np.negative(out, out=out) if negate else out)

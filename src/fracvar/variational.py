@@ -163,7 +163,7 @@ def _compare_partial(exact: np.ndarray, approx: np.ndarray, label: str,
                      name: str) -> None:
     scale = np.maximum(1.0, np.maximum(np.abs(exact), np.abs(approx)))
     err = np.max(np.abs(exact - approx) / scale)
-    if err > _GRAD_RTOL:
+    if not err <= _GRAD_RTOL:   # NaN fails too
         raise GradientCheckError(
             f"Lagrangian '{name}': partial {label} disagrees with finite "
             f"differences (relative error {err:.2e} > {_GRAD_RTOL})")
@@ -271,13 +271,17 @@ def _el(spec: ProblemSpec, u: Field, mixed: bool) -> Field:
     The blocks are released when ``_partials`` returns; only then is
     dF/du copied into the accumulator, the one array the loop writes, so
     the partials themselves may be read-only views.  On the 3D Dirichlet
-    integrand the call holds at most 9 grid-sized arrays."""
+    integrand the call holds at most 9 grid-sized arrays.
+
+    A_{P1_i*} is minus the plain transpose ``_adjoint`` of the B plan, so
+    its term -A_{P1_i*} dF/dv is added as the transpose itself:
+    x + a rounds as x - (-a), bit for bit."""
     du, dv, dw = _partials(spec.lagrangian, _blocks(spec, u.values, mixed))
     res = np.array(du)
     b_plans = spec.b_plans()
     k_duals = None if mixed else _k_dual_plans(spec)
     for i, bp in enumerate(b_plans):
-        res -= _adjoint(bp, dv[:, i], negate=True)
+        res += _adjoint(bp, dv[:, i])
         if mixed:
             res -= derivative_along_axis(dw[:, i], spec.grid.axes[i], i)
         else:
@@ -307,6 +311,14 @@ def _second_diff_along_axis(values: np.ndarray, grid: Grid1D, axis: int) -> np.n
     return out
 
 
+def _check_wave_coefficients(rho: float, stiffness: float) -> None:
+    """Raise DomainError unless rho and stiffness are finite and positive
+    (NaN and inf are refused)."""
+    if not (0.0 < rho < math.inf and 0.0 < stiffness < math.inf):
+        raise DomainError(f"rho and stiffness must be finite and positive, "
+                          f"got {rho}, {stiffness}")
+
+
 def wave_residual(u: Field, rho: float, stiffness: float,
                   time_op: tuple[ParamSet, float, KernelSpec],
                   space_ops: Optional[Sequence[tuple[ParamSet, float, KernelSpec]]] = None
@@ -322,9 +334,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
     The starred operators are built directly on the dual p-sets.  Only
     interior nodes are meaningful.  Raises DomainError unless rho and
     stiffness are finite and positive (NaN and inf are refused)."""
-    if not (0.0 < rho < math.inf and 0.0 < stiffness < math.inf):
-        raise DomainError(f"rho and stiffness must be finite and positive, "
-                          f"got {rho}, {stiffness}")
+    _check_wave_coefficients(rho, stiffness)
     grid = u.grid
     if grid.ndim > 3:
         raise DomainError("wave grids have one time axis plus up to 2 space axes")
@@ -363,7 +373,9 @@ def dirichlet_energy_lagrangian(n: int, N: int = 1) -> Lagrangian:
 
 def wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrangian:
     """F = rho v_t^2 - stiffness |grad u|^2 with the classical gradient in
-    the w block (use with el_residual_mixed); time along axis 0."""
+    the w block (use with el_residual_mixed); time along axis 0.  Raises
+    DomainError unless rho and stiffness are finite and positive."""
+    _check_wave_coefficients(rho, stiffness)
     def d_v(t, u, v, w):
         out = np.zeros_like(v)
         out[0, 0] = 2.0 * rho * v[0, 0]
@@ -384,7 +396,9 @@ def wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrang
 
 
 def frac_wave_lagrangian(n: int, rho: float = 1.0, stiffness: float = 1.0) -> Lagrangian:
-    """F = rho v_t^2 - stiffness sum_i v_xi^2: fully fractional wave."""
+    """F = rho v_t^2 - stiffness sum_i v_xi^2: fully fractional wave.
+    Raises DomainError unless rho and stiffness are finite and positive."""
+    _check_wave_coefficients(rho, stiffness)
     def d_v(t, u, v, w):
         out = -2.0 * stiffness * v
         out[0, 0] = 2.0 * rho * v[0, 0]

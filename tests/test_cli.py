@@ -139,6 +139,8 @@ def test_summary_is_strict_json(tmp_path):
     assert tolerances["order_est_range"]["pass"] is False
     assert tolerances["decrease_factor_min"]["value"] == "Infinity"
     assert tolerances["decrease_factor_min"]["pass"] is True
+    assert cli._finite_json({"v": [-math.inf, (math.inf, math.nan)]}) == {
+        "v": ["-Infinity", ["Infinity", "NaN"]]}
 
 
 def test_decrease_factor_zero_error_is_infinite():
@@ -170,6 +172,61 @@ def test_rejected_problem_key_exits_1(tmp_path, capsys, name, key, value):
                    output_dir=str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(field: {key})" in err
+
+
+@pytest.mark.parametrize("name, where, key, value", [
+    ("op_apply_halfint.json", "problem", "kernel", ["constant"]),
+    ("op_apply_halfint.json", None, "tolerance", {"abs_error_max": 1e-30}),
+    ("noether_translation.json", "problem", "field", "t1"),
+    ("noether_translation.json", None, "seed", -1),
+])
+def test_misconfigured_key_exits_1_before_any_runner(tmp_path, capsys,
+                                                     monkeypatch, name, where,
+                                                     key, value):
+    # Each of these used to run: a misspelt key was ignored (the RL kernel
+    # ran; no tolerance was checked), an unread expression was parsed and
+    # dropped, and a negative seed crashed in numpy with a traceback.
+    payload = load_payload(name)
+    (payload if where is None else payload[where])[key] = value
+    command = payload["command"]
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda p, grid: calls.append(grid),)
+                        + cli._COMMANDS[command][1:])
+    assert cli.main([write_payload(tmp_path, payload),
+                     "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {key})" in err
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_wave_residual_fractional_space_matches_library(tmp_path):
+    # With space_betas the space axes get A_{P*} B_P operators instead of
+    # the classical Laplacian.
+    payload = load_payload("wave_linear_field.json")
+    payload["problem"].update(
+        psets=[[1.0, 0.0], [0.6, 0.4]], kernels=["rl", "constant"],
+        space_betas=[0.7], rho=2.0, stiffness=0.5, field="t1*t2")
+    payload["sweep"] = [16, 24]
+    payload["tolerances"] = {}
+    assert cli.run(write_payload(tmp_path, payload),
+                   output_dir=str(tmp_path)) == 0
+    with open(outputs(tmp_path, payload)[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == [16, 24]
+    for row in rows:
+        n = int(row["n"])
+        grid = fracvar.GridND((fracvar.make_uniform_grid(0.0, 1.0, n),) * 2)
+        u = fracvar.Field.from_function(grid, lambda t1, t2: t1 * t2)
+        res = fracvar.wave_residual(
+            u, 2.0, 0.5,
+            (fracvar.ParamSet(0.0, 1.0, 1.0, 0.0), 0.5, fracvar.rl_kernel()),
+            [(fracvar.ParamSet(0.0, 1.0, 0.6, 0.4), 0.7,
+              fracvar.constant_kernel())])
+        want = fracvar.interior_max_abs(res)
+        assert want > 0.0
+        assert float(row["max_interior_residual"]) == want
 
 
 def test_repeated_sweep_size_exits_1(tmp_path, capsys):

@@ -206,6 +206,27 @@ class TestRootSchema:
         with pytest.raises(ConfigError, match="seed"):
             load_config(write(tmp_path, payload))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # np.random.default_rng refuses a negative seed with a bare
+        # ValueError, after the config had loaded.
+        payload = base_noether()
+        payload["seed"] = -1
+        with pytest.raises(ConfigError, match=">= 0") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "seed"
+        payload["seed"] = 0
+        assert load_config(write(tmp_path, payload)).seed == 0
+
+    @pytest.mark.parametrize("key", ["tolerance", "comment", "Command"])
+    def test_unknown_top_level_key_named(self, tmp_path, key):
+        # "tolerance" for "tolerances" used to load with no bounds at all.
+        payload = base_op_apply()
+        payload[key] = {"abs_error_max": 1e-30}
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == key
+        assert "tolerances" in str(exc.value)
+
     @pytest.mark.parametrize("out", [None, "", 3])
     def test_bad_output_path(self, tmp_path, out):
         payload = base_op_apply()
@@ -313,6 +334,36 @@ class TestProblemBlocks:
         with pytest.raises(ConfigError, match="tabulated") as exc:
             load_config(write(tmp_path, payload))
         assert exc.value.field == "kernels"
+
+    def test_unknown_problem_key_named(self, tmp_path):
+        # "kernel" for "kernels" used to run the default RL kernel.
+        payload = base_op_apply()
+        payload["problem"]["kernel"] = ["constant"]
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == "kernel"
+        assert "kernels" in str(exc.value)
+
+    @pytest.mark.parametrize("make, key", [
+        (base_noether, "field"), (base_op_apply, "f"),
+        (base_ibp, "boundary"), (base_dirichlet, "oracle")])
+    def test_unread_expression_key_rejected(self, tmp_path, make, key):
+        # An expression the command does not read used to be parsed and
+        # dropped.
+        payload = make()
+        payload["problem"][key] = "t1"
+        with pytest.raises(ConfigError, match="unknown") as exc:
+            load_config(write(tmp_path, payload))
+        assert exc.value.field == key
+
+    @pytest.mark.parametrize("make", [base_op_apply, base_ibp, base_el,
+                                      base_noether, base_dirichlet, base_wave])
+    def test_common_problem_keys_accepted(self, tmp_path, make):
+        payload = make()
+        payload["problem"].update(interval=[0.0, 2.0], size=16)
+        payload["problem"].setdefault("ndim", 1)
+        problem = load_config(write(tmp_path, payload)).problem
+        assert problem.interval == (0.0, 2.0) and problem.size == 16
 
     def test_missing_required_expression(self, tmp_path):
         payload = base_op_apply()

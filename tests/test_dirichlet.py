@@ -83,6 +83,20 @@ class TestSpecValidation:
         with pytest.raises(LengthMismatch, match=name):
             DirichletSpec(grid, boundary=Field.constant(grid, 0.0), **args)
 
+    def test_equal_specs_compare_equal(self):
+        # Built apart: equal boundary fields and equal tabulated kernels.
+        grid = grid_1d(0.0, 1.0, 8)
+        samples = np.column_stack([np.linspace(0.01, 1.0, 40),
+                                   np.linspace(1.0, 0.5, 40)])
+
+        def build(value):
+            return DirichletSpec(grid, [SYM], [0.5],
+                                 [tabulated_kernel(samples.copy())],
+                                 Field.constant(grid, value))
+
+        assert build(1.0) == build(1.0)
+        assert build(1.0) != build(2.0)
+
     def test_scalar_only(self):
         grid = grid_1d(0.0, 1.0, 8)
         psi = Field.constant(grid, 0.0, ncomp=2)

@@ -84,6 +84,26 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             tabulated_kernel([[0.1, np.inf], [1.0, 1.0]])        # non-finite
 
+    def test_equal_tabulated_kernels_compare_and_hash_equal(self):
+        samples = np.array([[0.1, 1.0], [0.5, 2.0], [1.0, 0.5]])
+        first = tabulated_kernel(samples)
+        equal = tabulated_kernel(samples.copy())
+        assert first is not equal
+        assert first == equal and hash(first) == hash(equal)
+        assert len({first, equal}) == 1
+
+    def test_kernels_differ_by_samples_family_and_order(self):
+        samples = np.array([[0.1, 1.0], [0.5, 2.0], [1.0, 0.5]])
+        kernel = tabulated_kernel(samples)
+        other = samples.copy()
+        other[1, 1] = 2.5
+        assert kernel != tabulated_kernel(other)
+        assert kernel != kernel.with_order(0.5)
+        assert rl_kernel(0.5) != rl_kernel(0.25)
+        assert rl_kernel(0.5) == rl_kernel(0.5)
+        assert hash(rl_kernel(0.5)) == hash(rl_kernel(0.5))
+        assert rl_kernel() != constant_kernel()
+
 
 class TestKernelEval:
     def test_rl_value(self):
@@ -243,6 +263,23 @@ class TestField:
         f = Field.constant(grid_1d(0.0, 1.0, 3), 2.5, ncomp=2)
         assert f.ncomp == 2
         assert np.all(f.values == 2.5)
+
+    def test_equal_fields_compare_equal(self):
+        grid = grid_1d(0.0, 1.0, 4)
+        assert Field.constant(grid, 1.0) == Field.constant(grid_1d(0.0, 1.0, 4),
+                                                           1.0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Field.constant(grid, 1.0))
+
+    def test_fields_with_different_values_differ(self):
+        grid = grid_1d(0.0, 1.0, 4)
+        assert Field.constant(grid, 1.0) != Field.constant(grid, 2.0)
+        assert Field.constant(grid, 1.0) != Field.constant(grid, 1.0, ncomp=2)
+        assert Field.constant(grid, 1.0) != 1.0
+
+    def test_fields_on_different_grids_differ(self):
+        assert (Field.constant(grid_1d(0.0, 1.0, 4), 1.0)
+                != Field.constant(grid_1d(0.0, 2.0, 4), 1.0))
 
     def test_interior_max_abs_ignores_boundary(self):
         grid = grid_1d(0.0, 1.0, 4)

@@ -521,6 +521,21 @@ class TestMatrixFree:
         assert distinct.shared is not plan.shared
         assert not np.array_equal(distinct.shared.symbol, plan.shared.symbol)
 
+    def test_equal_tabulated_kernels_key_one_entry(self):
+        # Two equal kernel objects built apart are one cache key: the second
+        # plan is a hit on the first plan's entry.
+        n = 16
+        g = make_uniform_grid(0.0, 1.0, n)
+        s = np.linspace(0.01, 1.0, 4 * n + 1)
+        kernels = [tabulated_kernel(np.column_stack([s, np.exp(-s)]))
+                   for _ in range(2)]
+        assert kernels[0] is not kernels[1]
+        operators._shared_symbol.cache_clear()
+        plans = [make_plan(OpKind.K, 0.5, LEFT, k, g) for k in kernels]
+        assert plans[1].shared is plans[0].shared
+        info = operators._shared_symbol.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_shared_symbols_are_bounded(self):
         # More distinct operators than the cache keeps: the cache stays at
         # its bound, and no symbol holds more than O(n) elements, even after
@@ -674,7 +689,7 @@ class TestMatrixFree:
                 lambda v: operators.toeplitz_along_axis(plan, v),
                 lambda v: operators.toeplitz_along_axis(plan, v, True),
                 lambda v: operators._apply(plan, v),
-                lambda v: operators._adjoint(plan, v, negate=True))
+                lambda v: operators._adjoint(plan, v))
             for product in products:
                 want = product(x)
                 for y in layouts:

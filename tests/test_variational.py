@@ -9,7 +9,8 @@ import pytest
 from fracvar import (BUILTIN_LAGRANGIANS, DirichletSpec, Field, GridND,
                      Lagrangian, ParamSet, ProblemSpec, bvp_residual,
                      dirichlet_energy_lagrangian, el_residual,
-                     el_residual_mixed, evaluate_functional, grid_1d,
+                     el_residual_mixed, evaluate_functional,
+                     frac_wave_lagrangian, grid_1d,
                      integral_coupling_lagrangian, interior_max_abs,
                      make_uniform_grid, rl_kernel, volume_integral,
                      wave_lagrangian, wave_residual)
@@ -73,6 +74,27 @@ class TestLagrangian:
                 d_v=lambda t, u, v, w: 3.0 * v,      # should be 2v
                 d_w=lambda t, u, v, w: np.zeros_like(w),
                 name="broken")
+
+    def test_gradient_check_rejects_nan_partial(self):
+        # NaN > rtol is False, so an all-NaN partial used to pass.
+        with pytest.raises(GradientCheckError, match="partial"):
+            Lagrangian.define(
+                1, 1,
+                eval_fn=lambda t, u, v, w: np.sum(v * v, axis=(0, 1)),
+                d_u=lambda t, u, v, w: np.full(u.shape, np.nan),
+                d_v=lambda t, u, v, w: 2.0 * v,
+                d_w=lambda t, u, v, w: np.zeros_like(w),
+                name="nan")
+
+    @pytest.mark.parametrize("factory, kwargs", [
+        (wave_lagrangian, {"rho": np.nan}),
+        (wave_lagrangian, {"rho": -1.0}),
+        (frac_wave_lagrangian, {"stiffness": np.inf})],
+        ids=["wave-rho-nan", "wave-rho-negative", "frac-wave-stiffness-inf"])
+    def test_wave_lagrangians_require_finite_positive_coefficients(
+            self, factory, kwargs):
+        with pytest.raises(DomainError, match="finite and positive"):
+            factory(2, **kwargs)
 
     def test_spec_validates_lengths(self):
         grid = grid_1d(0.0, 1.0, 8)
