@@ -15,8 +15,7 @@ from .ibp import (IbpReport, boundary_integral, check_K_duality, check_ibp,
                   volume_integral)
 from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
                     constant_kernel, dual, grid_1d, interior_max_abs,
-                    kernel_eval, make_uniform_grid, rl_kernel,
-                    tabulated_kernel)
+                    make_uniform_grid, rl_kernel, tabulated_kernel)
 from .noether import (SymmetryGenerator, bracket_D, bracket_I,
                       chain_identity_residual, invariance_residual,
                       noether_residual)
@@ -30,7 +29,7 @@ from .variational import (BUILTIN_LAGRANGIANS, Lagrangian, ProblemSpec,
 
 __all__ = [
     "Field", "Grid1D", "GridND", "KernelFamily", "KernelSpec", "ParamSet",
-    "constant_kernel", "dual", "grid_1d", "interior_max_abs", "kernel_eval",
+    "constant_kernel", "dual", "grid_1d", "interior_max_abs",
     "make_uniform_grid", "rl_kernel", "tabulated_kernel",
     "FracOpPlan", "OpKind", "adjoint_apply", "apply_op_1d", "apply_op_nd",
     "make_plan",

@@ -223,8 +223,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1
         order = [math.nan] * len(sizes)
         for i in range(1, len(sizes)):
             if errs[i] != 0.0 and errs[i - 1] != 0.0:
-                order[i] = (math.log(errs[i - 1] / errs[i])
-                            / math.log(sizes[i] / sizes[i - 1]))
+                # The log of the ratio, or a difference of logs when the
+                # ratio under- or overflows.
+                ratio = errs[i - 1] / errs[i]
+                log_ratio = (math.log(ratio) if 0.0 < ratio < math.inf
+                             else math.log(errs[i - 1]) - math.log(errs[i]))
+                order[i] = log_ratio / math.log(sizes[i] / sizes[i - 1])
         table = np.column_stack([table, order])
     return _header(cfg), table
 

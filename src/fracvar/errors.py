@@ -12,7 +12,8 @@ class DomainError(FracvarError):
 
 
 class RangeError(FracvarError):
-    """A tabulated kernel was queried outside its sample range."""
+    """A tabulated kernel's samples end before the largest distance s = b - a
+    that a plan on the grid needs (raised by ``make_plan``)."""
 
 
 class OrderError(FracvarError):

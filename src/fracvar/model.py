@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (AxisError, BoundaryViolation, DomainError, GridMismatch,
-                     LengthMismatch, RangeError)
+                     LengthMismatch)
 
 #: Hard cap on cells per axis.  Plans are O(n), but the power-kernel cell
 #: moments lose precision to cancellation as n grows (relative error about
@@ -70,13 +71,18 @@ class KernelSpec:
     * RIEMANN_LIOUVILLE: k_alpha(s) = s^(alpha-1) / Gamma(alpha).
     * CONSTANT: k(s) = 1 (the plain running integral).
     * TABULATED: linear interpolation of user samples (s_i, k_i), strictly
-      increasing in s with s_i > 0; queries outside the sampled range raise
-      RangeError.
+      increasing in s with s_1 > 0, extended by the first sample's value on
+      (0, s_1).  ``make_plan`` raises RangeError when the grid needs s past
+      the last sample.
 
-    ``order`` is the subscript of k_alpha.  It may be left None, in which
-    case operator construction resolves it to the effective order the
-    operator needs (alpha for a K-op, 1-alpha for A/B-ops).  If set, it must
-    match that effective order.
+    ``order`` is the subscript of k_alpha, for the RIEMANN_LIOUVILLE family
+    only.  It may be left None, in which case operator construction resolves
+    it to the effective order the operator needs (alpha for a K-op, 1-alpha
+    for A/B-ops).  If set, it must match that effective order.
+
+    Raises DomainError unless family is a KernelFamily, unless an RL order is
+    None or a real number in (0, 1] (a bool is refused), and unless order is
+    None for the other families.
 
     Kernels compare and hash by content: family, order and the bytes of
     the samples (a read-only copy), so equal kernels built apart are equal
@@ -90,16 +96,24 @@ class KernelSpec:
                                               default=None)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, KernelFamily):
+            raise DomainError(
+                f"kernel family must be a KernelFamily, got {self.family!r}")
         if self.family is KernelFamily.RIEMANN_LIOUVILLE:
-            if self.order is not None and not (0.0 < self.order <= 1.0):
+            if self.order is not None and (
+                    isinstance(self.order, bool)
+                    or not isinstance(self.order, numbers.Real)
+                    or not 0.0 < self.order <= 1.0):
                 raise DomainError(
-                    f"Riemann-Liouville kernel order must lie in (0, 1], got {self.order}")
+                    f"Riemann-Liouville kernel order must be a real number in "
+                    f"(0, 1], got {self.order!r}")
+        elif self.order is not None:
+            raise DomainError(f"a {self.family.value} kernel takes no order, "
+                              f"got {self.order!r}")
+        if self.family is not KernelFamily.TABULATED:
             if self.samples is not None:
                 raise DomainError("samples are only valid for the TABULATED family")
-        elif self.family is KernelFamily.CONSTANT:
-            if self.samples is not None:
-                raise DomainError("samples are only valid for the TABULATED family")
-        elif self.family is KernelFamily.TABULATED:
+        else:
             if self.samples is None:
                 raise DomainError("TABULATED kernel requires samples")
             arr = np.asarray(self.samples, dtype=float)
@@ -133,34 +147,6 @@ def constant_kernel() -> KernelSpec:
 
 def tabulated_kernel(samples: np.ndarray) -> KernelSpec:
     return KernelSpec(KernelFamily.TABULATED, None, np.asarray(samples, dtype=float))
-
-
-def kernel_eval(k: KernelSpec, s) -> float | np.ndarray:
-    """Evaluate k(s).
-
-    RL kernels require s > 0 (DomainError otherwise); tabulated kernels
-    raise RangeError outside their sample range.  Accepts scalars or arrays.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    if k.family is KernelFamily.RIEMANN_LIOUVILLE:
-        if k.order is None:
-            raise DomainError("RL kernel_eval requires a resolved order")
-        if np.any(s_arr <= 0.0):
-            raise DomainError("RL kernel is singular at s <= 0")
-        out = s_arr ** (k.order - 1.0) / math.gamma(k.order)
-    elif k.family is KernelFamily.CONSTANT:
-        if np.any(s_arr < 0.0):
-            raise DomainError("kernel arguments must satisfy s >= 0")
-        out = np.ones_like(s_arr)
-    else:
-        smp = k.samples
-        if np.any(s_arr < smp[0, 0]) or np.any(s_arr > smp[-1, 0]):
-            raise RangeError(
-                f"tabulated kernel queried outside sample range "
-                f"[{smp[0, 0]}, {smp[-1, 0]}]")
-        out = np.interp(s_arr, smp[:, 0], smp[:, 1])
-    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,12 @@ matrix.
 
 Partial operators on multidimensional grids act along one axis with every
 other coordinate frozen, line by line.  The fractional gradient is one plan
-per axis (``axis_plans``), and a starred operator is ``make_plan`` on the
-dual p-set (``model.dual``) or, for the exact transpose, ``adjoint_apply``.
+per axis (``axis_plans``).  A starred operator has two realizations:
+``make_plan`` on the dual p-set (``model.dual``), and the exact transpose
+``adjoint_apply`` of the plan itself.  The residuals take A_{P*} as minus
+the transpose of the B plan, and K_{P*} as the K plan on the dual p-set;
+only ``ibp.check_ibp`` builds an A plan on a dual p-set, since the
+integration-by-parts formula it checks is stated with one.
 
 Inside the package operators run on value arrays (component axis 0 first)
 through one unchecked pair, ``_apply`` and ``_adjoint`` (the plain

@@ -14,15 +14,16 @@ Euler-Lagrange residual of the fully fractional problem is
 zero at extremals.  A mixed variant replaces the w block by the classical
 gradient and reads sum_i [ A_{P1*} dF/dv + d/dt_i dF/dw ] - dF/du.
 
-Realizations of the starred operators: A_{P*} terms use the exact transpose
-of the assembled B matrix in the trapezoid inner product (so residuals of
+Realizations of the starred operators: A_{P*} is minus the exact transpose
+of the B plan in the trapezoid inner product, in the Euler-Lagrange and the
+wave residuals alike, and no A plan is built here.  So residuals of
 discrete-energy minimizers vanish to solver tolerance, the residual of the
-Dirichlet integrand equals -2x ``dirichlet.bvp_residual`` in value on every
-grid -- exact zeros may differ in sign, so the equality is that of
-``np.array_equal``, not of the bits -- and the Noether chain identity
-closes in floating point); K_{P*}
-terms use the operator built directly on the dual p-set (so the bracket
-antisymmetry is exact).
+Dirichlet integrand equals -2x ``dirichlet.bvp_residual`` and that of
+``frac_wave_lagrangian`` equals -2x ``wave_residual`` in value on every
+grid (exact zeros may differ in sign, so the equalities are those of
+``np.array_equal``, not of the bits), and the Noether chain identity closes
+in floating point.  K_{P*} terms use the operator built directly on the
+dual p-set (so the bracket antisymmetry is exact).
 
 The residuals run on value arrays through the unchecked operator pair
 ``operators._apply`` / ``operators._adjoint``: the field is checked once on
@@ -331,17 +332,22 @@ def wave_residual(u: Field, rho: float, stiffness: float,
     Fractional space:
         rho . A_{Pt*}^a B_{Pt}^a u - sum_i A_{P*_xi}^{b_i}(stiffness . B_{P_xi}^{b_i} u)
 
-    The starred operators are built directly on the dual p-sets.  Only
-    interior nodes are meaningful.  Raises DomainError unless rho and
-    stiffness are finite and positive (NaN and inf are refused)."""
+    A_{P*} is minus the plain transpose ``_adjoint`` of the B plan, as in
+    ``_el``, so one B plan per axis is built and no A plan.  The
+    coefficient is applied inside the transpose, as ``_el`` applies dF/dv:
+    with fractional space the residual is then -1/2 el_residual of
+    ``frac_wave_lagrangian`` in value (``np.array_equal``); applied outside
+    it rounds differently.  Only interior nodes are meaningful.  Raises
+    DomainError unless rho and stiffness are finite and positive (NaN and
+    inf are refused)."""
     _check_wave_coefficients(rho, stiffness)
     grid = u.grid
     if grid.ndim > 3:
         raise DomainError("wave grids have one time axis plus up to 2 space axes")
     pset_t, alpha_t, kernel_t = time_op
     bp_t = make_plan(OpKind.B, alpha_t, pset_t, kernel_t, grid.axes[0], axis=0)
-    ap_t = make_plan(OpKind.A, alpha_t, dual(pset_t), kernel_t, grid.axes[0], axis=0)
-    out = rho * _apply(ap_t, _apply(bp_t, u.values))
+    out = _adjoint(bp_t, rho * _apply(bp_t, u.values))
+    np.negative(out, out=out)
     if space_ops is None:
         for i in range(1, grid.ndim):
             out -= stiffness * _second_diff_along_axis(u.values, grid.axes[i], i)
@@ -351,8 +357,7 @@ def wave_residual(u: Field, rho: float, stiffness: float,
                 f"need {grid.ndim - 1} space operator triples, got {len(space_ops)}")
         for i, (pset_x, beta_x, kernel_x) in enumerate(space_ops, start=1):
             bp_x = make_plan(OpKind.B, beta_x, pset_x, kernel_x, grid.axes[i], axis=i)
-            ap_x = make_plan(OpKind.A, beta_x, dual(pset_x), kernel_x, grid.axes[i], axis=i)
-            out -= _apply(ap_x, stiffness * _apply(bp_x, u.values))
+            out += _adjoint(bp_x, stiffness * _apply(bp_x, u.values))
     return Field(grid, out)
 
 

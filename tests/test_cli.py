@@ -411,6 +411,25 @@ def test_order_est_column(tmp_path):
     assert 1.0 < last < 3.0
 
 
+def test_order_est_when_the_error_ratio_underflows(tmp_path, monkeypatch):
+    # 1e-200 / 1e200 underflows to 0.0, whose log used to raise a bare
+    # ValueError; the order is then taken from a difference of logs.
+    payload = load_payload("convergence_K_quadratic.json")
+    payload["sweep"] = [32, 64]
+    errs = {32: 1e-200, 64: 1e200}
+    command = payload["command"]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (lambda p, grid: [[grid.axes[0].n,
+                                           errs[grid.axes[0].n]]],)
+                        + cli._COMMANDS[command][1:])
+    header, table = cli.run_experiment(
+        load_config(write_payload(tmp_path, payload)))
+    assert header[-1] == "order_est"
+    assert math.isnan(table[0, -1])
+    assert table[1, -1] == pytest.approx(-400.0 / math.log10(2.0))
+    assert table[1, -1] == pytest.approx(-1328.77, abs=0.01)
+
+
 def test_parallel_jobs_identical(tmp_path):
     payload = load_payload("noether_translation.json")
     cfg = write_payload(tmp_path, payload)

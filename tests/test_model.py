@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from fracvar import (Field, GridND, KernelFamily, KernelSpec, ParamSet,
                      constant_kernel, dual, grid_1d, interior_max_abs,
-                     kernel_eval, make_uniform_grid, rl_kernel,
-                     tabulated_kernel)
-from fracvar.errors import DomainError, GridMismatch, RangeError
+                     make_uniform_grid, rl_kernel, tabulated_kernel)
+from fracvar.errors import DomainError, GridMismatch
 from fracvar.model import check_field
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -63,6 +62,32 @@ class TestKernelSpec:
         assert k.order is None
         assert k.with_order(0.5).order == 0.5
 
+    @pytest.mark.parametrize("family", ["riemann_liouville", "rl", None, 0])
+    def test_family_must_be_a_kernel_family(self, family):
+        # A string family used to build, and make_plan then raised a bare
+        # TypeError.
+        with pytest.raises(DomainError, match="KernelFamily"):
+            KernelSpec(family)
+
+    @pytest.mark.parametrize("order", ["abc", "0.5", True, False, [0.5],
+                                       math.nan, 1.0 + 0.0j])
+    def test_rl_order_must_be_a_real_number(self, order):
+        with pytest.raises(DomainError, match="order"):
+            KernelSpec(KernelFamily.RIEMANN_LIOUVILLE, order)
+
+    @pytest.mark.parametrize("order", [np.float64(0.5), np.float32(0.25), 1,
+                                       np.int64(1)])
+    def test_rl_order_accepts_real_scalars(self, order):
+        assert KernelSpec(KernelFamily.RIEMANN_LIOUVILLE, order).order == order
+
+    @pytest.mark.parametrize("order", [0.5, 1.0, "abc", math.nan, True])
+    def test_constant_and_tabulated_take_no_order(self, order):
+        samples = np.array([[0.1, 1.0], [1.0, 1.0]])
+        with pytest.raises(DomainError, match="takes no order"):
+            KernelSpec(KernelFamily.CONSTANT, order)
+        with pytest.raises(DomainError, match="takes no order"):
+            KernelSpec(KernelFamily.TABULATED, order, samples)
+
     def test_samples_only_for_tabulated(self):
         with pytest.raises(DomainError):
             KernelSpec(KernelFamily.RIEMANN_LIOUVILLE, 0.5,
@@ -98,47 +123,14 @@ class TestKernelSpec:
         other = samples.copy()
         other[1, 1] = 2.5
         assert kernel != tabulated_kernel(other)
-        assert kernel != kernel.with_order(0.5)
+        # Only an RL kernel carries an order, so a tabulated kernel has one
+        # content and one cache key.
+        with pytest.raises(DomainError, match="takes no order"):
+            kernel.with_order(0.5)
         assert rl_kernel(0.5) != rl_kernel(0.25)
         assert rl_kernel(0.5) == rl_kernel(0.5)
         assert hash(rl_kernel(0.5)) == hash(rl_kernel(0.5))
         assert rl_kernel() != constant_kernel()
-
-
-class TestKernelEval:
-    def test_rl_value(self):
-        # k_alpha(s) = s^(alpha-1)/Gamma(alpha); at alpha=0.5, s=0.25 this is
-        # 2 / sqrt(pi) = 1/Gamma(1.5) exactly.
-        assert kernel_eval(rl_kernel(0.5), 0.25) == pytest.approx(
-            1.1283791670955126, rel=1e-15)
-        s = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(
-            kernel_eval(rl_kernel(0.3), s),
-            s ** (-0.7) / math.gamma(0.3), rtol=1e-15)
-
-    def test_rl_rejects_nonpositive_arguments(self):
-        with pytest.raises(DomainError):
-            kernel_eval(rl_kernel(0.5), 0.0)
-        with pytest.raises(DomainError):
-            kernel_eval(rl_kernel(0.5), np.array([0.5, -1.0]))
-
-    def test_rl_requires_resolved_order(self):
-        with pytest.raises(DomainError):
-            kernel_eval(rl_kernel(), 0.5)
-
-    def test_constant_is_one(self):
-        assert kernel_eval(constant_kernel(), 3.7) == 1.0
-        with pytest.raises(DomainError):
-            kernel_eval(constant_kernel(), -0.1)
-
-    def test_tabulated_interpolates_and_guards_range(self):
-        k = tabulated_kernel([[0.1, 1.0], [0.3, 3.0], [0.5, 2.0]])
-        assert kernel_eval(k, 0.2) == pytest.approx(2.0)
-        assert kernel_eval(k, 0.4) == pytest.approx(2.5)
-        with pytest.raises(RangeError):
-            kernel_eval(k, 0.05)
-        with pytest.raises(RangeError):
-            kernel_eval(k, 0.6)
 
 
 class TestGrids:

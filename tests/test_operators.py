@@ -271,6 +271,17 @@ class TestTabulatedKernels:
         assert gx.tobytes() == (0.5 * (x + 1.0)).tobytes()
         assert gw.tobytes() == (0.5 * w).tobytes()
 
+    def test_extended_by_first_sample_below_it(self):
+        # The tabulated kernel is np.interp of its samples: on (0, s_1) it
+        # takes the first sample's value, so a kernel sampled at 2 from
+        # s_1 = h/2 has twice the constant kernel's cell moments.
+        grid = grid_1d(0.0, 1.0, 16).axes[0]
+        s = np.linspace(0.5 * grid.h, 1.0, 64)
+        kern = tabulated_kernel(np.column_stack([s, np.full_like(s, 2.0)]))
+        for got, unit in zip(_cell_moments(kern, grid),
+                             _cell_moments(constant_kernel(), grid)):
+            np.testing.assert_allclose(got, 2.0 * unit, rtol=1e-15)
+
     def test_resolution_too_coarse(self):
         grid = grid_1d(0.0, 1.0, 64)
         kern = tabulated_kernel(self.rl_samples(0.5, 1.0, 12))

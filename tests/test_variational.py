@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from fracvar import (BUILTIN_LAGRANGIANS, DirichletSpec, Field, GridND,
-                     Lagrangian, ParamSet, ProblemSpec, bvp_residual,
-                     dirichlet_energy_lagrangian, el_residual,
+                     Lagrangian, OpKind, ParamSet, ProblemSpec, bvp_residual,
+                     constant_kernel, dirichlet_energy_lagrangian, el_residual,
                      el_residual_mixed, evaluate_functional,
                      frac_wave_lagrangian, grid_1d,
                      integral_coupling_lagrangian, interior_max_abs,
-                     make_uniform_grid, rl_kernel, volume_integral,
-                     wave_lagrangian, wave_residual)
+                     make_uniform_grid, rl_kernel, tabulated_kernel,
+                     volume_integral, wave_lagrangian, wave_residual)
 from fracvar.errors import (BoundaryViolation, DomainError,
                             GradientCheckError, GridMismatch, LengthMismatch)
+from fracvar import variational
 from fracvar.model import check_admissible
 from fracvar.noether import (SymmetryGenerator, chain_identity_residual,
                              invariance_residual, noether_residual)
@@ -320,10 +321,89 @@ class TestElResidual:
         assert 1.6 <= diffs[0] / diffs[1] <= 2.4
 
 
+def wave_kernel(family):
+    """A kernel of the named family; the tabulated one, e^-s sampled every
+    0.0025 on [0.005, 3], resolves grids of spacing >= 0.01 and span <= 3."""
+    if family == "rl":
+        return rl_kernel()
+    if family == "constant":
+        return constant_kernel()
+    s = np.linspace(0.005, 3.0, 1199)
+    return tabulated_kernel(np.column_stack([s, np.exp(-s)]))
+
+
 class TestWaveResidual:
     def grid2(self, n):
         return GridND((make_uniform_grid(0.0, 1.0, n),
                        make_uniform_grid(0.0, 1.0, n)))
+
+    @staticmethod
+    def assert_frac_wave_identity(rng, cells, families):
+        """On a random field with random p-sets, orders, kernels of the
+        given families and coefficients, el_residual of the fully fractional
+        wave integrand equals -2x the wave residual in value."""
+        d = len(cells)
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0 + 0.5 * i, n)
+                            for i, n in enumerate(cells)))
+        psets = [ParamSet(0.0, 1.0 + 0.5 * i, p, 1.0 - p)
+                 for i, p in enumerate(rng.uniform(0.0, 1.0, d))]
+        orders = rng.uniform(0.1, 0.9, d).tolist()
+        kernels = [wave_kernel(family) for family in families]
+        rho, stiffness = rng.uniform(0.5, 2.0, 2).tolist()
+        u = Field(grid, rng.standard_normal(grid.shape))
+        spec = ProblemSpec(grid, frac_wave_lagrangian(d, rho, stiffness),
+                           psets, psets, orders, orders, kernels, kernels)
+        ops = list(zip(psets, orders, kernels))
+        wave = wave_residual(u, rho, stiffness, ops[0], ops[1:]).values
+        assert np.array_equal(el_residual(spec, u).values, -2.0 * wave), cells
+
+    # Both orientations of non-square 2D grids, 3D grids, and grids whose
+    # axes take the FFT and the dense products.
+    @pytest.mark.parametrize("cells", [(24, 20), (20, 24), (8, 6), (6, 8),
+                                       (7, 9, 5), (12, 10, 14), (40, 40)],
+                             ids=lambda c: "x".join(map(str, c)))
+    @pytest.mark.parametrize("families", [("rl", "constant", "tabulated"),
+                                          ("tabulated", "rl", "constant"),
+                                          ("constant", "tabulated", "rl")],
+                             ids="-".join)
+    def test_frac_wave_el_is_minus_twice_wave_residual(self, cells, families):
+        # A_{P*} is minus the transpose of the B plan in both residuals, so
+        # the identity holds with p-sets, orders and kernels that differ
+        # per axis.
+        self.assert_frac_wave_identity(np.random.default_rng(sum(cells)),
+                                       cells, families[:len(cells)])
+
+    def test_frac_wave_identity_on_random_grids(self):
+        rng = np.random.default_rng(27)
+        families = ("rl", "constant", "tabulated")
+        for _ in range(30):
+            d = int(rng.integers(2, 4))
+            self.assert_frac_wave_identity(
+                rng, rng.integers(4, 25, d).tolist(),
+                [families[k] for k in rng.integers(0, 3, d)])
+
+    @pytest.mark.parametrize("fractional_space", [False, True],
+                             ids=["classical", "fractional"])
+    @pytest.mark.parametrize("cells", [(8, 6), (7, 9, 5)],
+                             ids=lambda c: "x".join(map(str, c)))
+    def test_one_b_plan_per_operator_axis(self, monkeypatch, cells,
+                                          fractional_space):
+        # A_{P*} is the transpose of the B plan: no A plan is built, and
+        # classical space needs the time axis's plan only.
+        kinds = []
+        make_plan = variational.make_plan
+
+        def counting(kind, *args, **kwargs):
+            kinds.append(kind)
+            return make_plan(kind, *args, **kwargs)
+
+        monkeypatch.setattr(variational, "make_plan", counting)
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0, n) for n in cells))
+        u = Field(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        space = ([(SYM, 0.4, rl_kernel())] * (len(cells) - 1)
+                 if fractional_space else None)
+        wave_residual(u, 1.0, 1.0, (LEFT, 0.5, rl_kernel()), space)
+        assert kinds == [OpKind.B] * (len(cells) if fractional_space else 1)
 
     def test_constant_field_exactly_zero(self):
         u = Field.constant(self.grid2(24), 3.25)
