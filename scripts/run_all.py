@@ -25,6 +25,8 @@ def main() -> int:
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
     root = pathlib.Path(args.configs) if args.configs else (
         pathlib.Path(__file__).resolve().parent.parent / "configs")

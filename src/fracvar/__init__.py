@@ -9,7 +9,7 @@ residuals, Dirichlet-energy minimization, and Noether-identity verification.
 
 from .config import COMMANDS, ExperimentConfig, load_config
 from .dirichlet import (DirichletSpec, MinimizeResult, bvp_residual, energy,
-                        minimize_energy, transfinite_init, uniqueness_check)
+                        minimize_energy, transfinite_init)
 from .exprs import parse_function
 from .ibp import (IbpReport, boundary_integral, check_K_duality, check_ibp,
                   volume_integral)
@@ -40,7 +40,7 @@ __all__ = [
     "evaluate_functional", "frac_wave_lagrangian",
     "integral_coupling_lagrangian", "wave_lagrangian", "wave_residual",
     "DirichletSpec", "MinimizeResult", "bvp_residual", "energy",
-    "minimize_energy", "transfinite_init", "uniqueness_check",
+    "minimize_energy", "transfinite_init",
     "SymmetryGenerator", "bracket_D", "bracket_I", "chain_identity_residual",
     "invariance_residual", "noether_residual",
     "parse_function",

@@ -35,8 +35,8 @@ the stopping rule is its max norm falling below ``tol``.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -70,9 +70,10 @@ class DirichletSpec:
     def __post_init__(self) -> None:
         _check_per_axis(self, "psets", "alphas", "kernels")
         check_field(self.boundary, self.grid, 1)
-        if not 0.0 < self.tol < math.inf:
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0.0 < self.tol < math.inf):
             raise DomainError(
-                f"tol must be a positive finite number, got {self.tol}")
+                f"tol must be a positive finite number, got {self.tol!r}")
         m = self.max_iter
         if m is not None and (isinstance(m, bool)
                               or not isinstance(m, (int, np.integer))
@@ -210,20 +211,6 @@ def _fast_diagonalization(ts: list[np.ndarray]
     return apply
 
 
-class _SolverData(NamedTuple):
-    """What every CG solve of one spec reads: the scaled Gram rows
-    c_i G_i[1:-1], the interior blocks c_i T_i and their exact inverse."""
-    rows: list[np.ndarray]
-    ts: list[np.ndarray]
-    precondition: Callable[[np.ndarray], np.ndarray]
-
-
-def _solver_data(spec: DirichletSpec) -> _SolverData:
-    rows = _gram_rows(spec.grid, spec.b_plans())
-    ts = [g[:, 1:-1] for g in rows]
-    return _SolverData(rows, ts, _fast_diagonalization(ts))
-
-
 def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
                     ) -> MinimizeResult:
     """Minimize the discrete energy by conjugate gradients on the interior
@@ -245,13 +232,6 @@ def minimize_energy(spec: DirichletSpec, init: Optional[Field] = None
     p-set has p = q = 0 the energy is identically zero and the init is
     returned unchanged under a DegenerateEnergy warning.
     """
-    return _minimize(spec, init, lambda: _solver_data(spec))
-
-
-def _minimize(spec: DirichletSpec, init: Optional[Field],
-              solver_data: Callable[[], _SolverData]) -> MinimizeResult:
-    """minimize_energy, reading the solver data from solver_data() once the
-    init is admissible and the energy is not degenerate."""
     if init is None:
         init = transfinite_init(spec.grid, spec.boundary)
     check_admissible(spec, init)
@@ -265,7 +245,9 @@ def _minimize(spec: DirichletSpec, init: Optional[Field],
     grid = spec.grid
     d = grid.ndim
     vol = math.prod(ax.h for ax in grid.axes)   # every interior weight
-    rows, ts, precondition = solver_data()
+    rows = _gram_rows(grid, spec.b_plans())
+    ts = [g[:, 1:-1] for g in rows]
+    precondition = _fast_diagonalization(ts)
     u = init.values[0].copy()
     inner = u[(slice(1, -1),) * d]   # a view: steps update u in place
     max_iter = spec.max_iter if spec.max_iter is not None else 10 * inner.size
@@ -305,12 +287,3 @@ def _minimize(spec: DirichletSpec, init: Optional[Field],
 
     return MinimizeResult(Field(grid, u[np.newaxis]), it, grad_norm)
 
-
-def uniqueness_check(spec: DirichletSpec, init1: Field, init2: Field) -> float:
-    """Run the minimization from two admissible inits; return the max-node
-    difference of the results (small by uniqueness of the minimizer).  Both
-    solves share one set of solver data, built on first use."""
-    solver_data = functools.cache(lambda: _solver_data(spec))
-    u1 = _minimize(spec, init1, solver_data).field
-    u2 = _minimize(spec, init2, solver_data).field
-    return float(np.max(np.abs(u1.values - u2.values)))

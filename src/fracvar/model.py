@@ -228,13 +228,8 @@ class GridND:
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask, True at interior nodes (all coordinates strictly inside)."""
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.ndim):
-            sl = [slice(None)] * self.ndim
-            sl[axis] = 0
-            mask[tuple(sl)] = False
-            sl[axis] = -1
-            mask[tuple(sl)] = False
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.ndim] = True
         return mask
 
 
@@ -323,9 +318,18 @@ def check_field(f: Field, grid: GridND, ncomp: Optional[int] = None) -> None:
         raise GridMismatch(f"field has {f.ncomp} components, expected {ncomp}")
 
 
+def _check_axis_index(axis: int) -> None:
+    """Raise AxisError unless axis is a nonnegative int or numpy integer; a
+    bool or a float is refused."""
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or axis < 0):
+        raise AxisError(f"axis must be a nonnegative integer, got {axis!r}")
+
+
 def check_axis(grid: GridND, axis: int) -> None:
     """Raise AxisError unless axis indexes an axis of grid."""
-    if not 0 <= axis < grid.ndim:
+    _check_axis_index(axis)
+    if axis >= grid.ndim:
         raise AxisError(f"axis {axis} out of range for a {grid.ndim}D grid")
 
 

@@ -72,7 +72,7 @@ import numpy as np
 from .errors import (AxisError, DomainError, GridMismatch, OrderError,
                      RangeError)
 from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
-                    check_axis)
+                    _check_axis_index, check_axis)
 
 class OpKind(enum.Enum):
     K = "K"
@@ -279,11 +279,11 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     Raises DomainError unless kind is an OpKind (its string value is not
     accepted), OrderError unless order is a real number (int, float or a
     numpy integer or floating scalar) in the kind's range, and AxisError
-    unless axis is a nonnegative int or numpy integer (a bool is refused).
+    unless axis is a nonnegative int or numpy integer; a bool is neither.
     """
     if not isinstance(kind, OpKind):
         raise DomainError(f"kind must be an OpKind, got {kind!r}")
-    if not isinstance(order, numbers.Real):
+    if isinstance(order, bool) or not isinstance(order, numbers.Real):
         raise OrderError(f"order must be a real number, got {order!r}")
     if kind is OpKind.K:
         if not (0.0 < order <= 1.0):
@@ -303,10 +303,7 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
         raise GridMismatch(
             f"p-set interval ({pset.a}, {pset.b}) does not match grid "
             f"interval ({grid.a}, {grid.b})")
-    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)):
-        raise AxisError(f"axis must be an integer, got {axis!r}")
-    if axis < 0:
-        raise AxisError(f"axis must be nonnegative, got {axis}")
+    _check_axis_index(axis)
     if kernel.family is KernelFamily.TABULATED:
         _check_tabulated_resolution(kernel, grid)
 

@@ -2,7 +2,8 @@
 
 A field on another grid, a field with the wrong component count, and a
 Lagrangian or symmetry-generator output of the wrong shape raise
-GridMismatch; an axis that the grid does not have raises AxisError; the
+GridMismatch; an axis that the grid does not have, or one that is not an
+int or numpy integer (a float or a bool), raises AxisError; the
 integration-by-parts checks take single-component fields only
 (DomainError), and a NaN partial makes every Euler-Lagrange and Noether
 entry raise DomainError, as does a Lagrangian or generator output whose
@@ -23,7 +24,7 @@ from fracvar import (DirichletSpec, Field, GridND, Lagrangian, OpKind,
                      evaluate_functional, grid_1d, invariance_residual,
                      make_plan, make_uniform_grid, minimize_energy,
                      noether_residual, rl_kernel, transfinite_init,
-                     uniqueness_check, volume_integral)
+                     volume_integral)
 from fracvar.errors import AxisError, DomainError, GridMismatch
 
 SYM = ParamSet(0.0, 1.0, 0.6, 0.4)
@@ -81,12 +82,14 @@ DIRICHLET_ENTRIES = {
     "energy": lambda u: energy(dirichlet(field(GRID)), u),
     "bvp_residual": lambda u: bvp_residual(dirichlet(field(GRID)), u),
     "minimize_energy": lambda u: minimize_energy(dirichlet(field(GRID)), u),
-    "uniqueness_check": lambda u: uniqueness_check(dirichlet(field(GRID)), u,
-                                                   field(GRID)),
     "transfinite_init": lambda u: transfinite_init(GRID, u),
     "DirichletSpec": dirichlet,
     "ProblemSpec": lambda u: problem(GRID, boundary=u),
 }
+
+# Axis arguments that a 1D grid refuses: out of range, or not an integer (a
+# float raised a bare TypeError, and False indexed axis 0).
+AXES = (1, -1, 0.0, True, False)
 
 # Entries that take two fields along one axis: the second field (and the
 # axis) is the one under test.
@@ -164,13 +167,16 @@ def cases():
         bad_comp = DomainError if name.startswith("check") else GridMismatch
         yield pytest.param(lambda e=entry: e(field(GRID), field(GRID, 2)),
                            bad_comp, id=f"{name}-components")
-        for axis in (1, -1):
+        for axis in AXES:
             yield pytest.param(
                 lambda e=entry, a=axis: e(field(GRID), field(GRID), a),
                 AxisError, id=f"{name}-axis{axis}")
-    for axis in (1, -1):
+    for axis in AXES:
         yield pytest.param(lambda a=axis: boundary_integral(field(GRID), a),
                            AxisError, id=f"boundary_integral-axis{axis}")
+    # True indexed axis 1 of a 2D grid.
+    yield pytest.param(lambda: boundary_integral(field(GRID_2D), True),
+                       AxisError, id="boundary_integral-2d-axisTrue")
     yield pytest.param(lambda: boundary_integral(field(GRID, 2), 0),
                        DomainError, id="boundary_integral-components")
     yield pytest.param(lambda: volume_integral(field(GRID, 2)), DomainError,

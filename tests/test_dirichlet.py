@@ -10,7 +10,7 @@ import fracvar.dirichlet
 from fracvar import (DirichletSpec, Field, GridND, ParamSet, bvp_residual,
                      constant_kernel, energy, grid_1d, interior_max_abs,
                      make_uniform_grid, minimize_energy, rl_kernel,
-                     tabulated_kernel, transfinite_init, uniqueness_check)
+                     tabulated_kernel, transfinite_init)
 from fracvar.errors import (BoundaryViolation, DegenerateEnergy, DomainError,
                             FracvarError, GridMismatch, LengthMismatch,
                             NoConvergence)
@@ -18,7 +18,6 @@ from fracvar.operators import (adjoint_apply, apply_matrix_along_axis,
                                apply_op_nd, toeplitz_along_axis)
 
 SYM = ParamSet(0.0, 1.0, 0.5, 0.5)
-LEFT = ParamSet(0.0, 1.0, 1.0, 0.0)
 
 
 def spec_1d(n, psi_fn, pset=SYM, alpha=0.5, **kw):
@@ -115,9 +114,11 @@ class TestSpecValidation:
     def test_max_iter_accepted(self, max_iter):
         assert spec_1d(8, lambda t: t, max_iter=max_iter).max_iter == max_iter
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True,
+                                     np.True_, "1e-10"])
     def test_tol_must_be_positive_and_finite(self, tol):
-        # A NaN or infinite tol stopped CG before its first iteration.
+        # A NaN or infinite tol stopped CG before its first iteration; True
+        # was taken as tol 1, and a string raised a bare TypeError.
         with pytest.raises(DomainError, match="tol"):
             spec_1d(8, lambda t: t, tol=tol)
 
@@ -311,16 +312,15 @@ class TestMinimization:
         assert np.isfinite(exc.value.gradient_norm)
 
     def test_indefinite_direction_raises(self, monkeypatch):
-        # Negated interior blocks make the Hessian negative definite, while
-        # the preconditioner stays positive definite: pAp < 0 at the first
-        # step.
-        solver_data = fracvar.dirichlet._solver_data
-
-        def negated(spec):
-            rows, ts, precondition = solver_data(spec)
-            return fracvar.dirichlet._SolverData(rows, [-t for t in ts],
-                                                 precondition)
-        monkeypatch.setattr(fracvar.dirichlet, "_solver_data", negated)
+        # Negated Gram rows make the Hessian negative definite; the
+        # preconditioner is built from the blocks negated back, so it stays
+        # positive definite: pAp < 0 at the first step.
+        gram_rows = fracvar.dirichlet._gram_rows
+        fast_diagonalization = fracvar.dirichlet._fast_diagonalization
+        monkeypatch.setattr(fracvar.dirichlet, "_gram_rows",
+                            lambda *args: [-g for g in gram_rows(*args)])
+        monkeypatch.setattr(fracvar.dirichlet, "_fast_diagonalization",
+                            lambda ts: fast_diagonalization([-t for t in ts]))
         with pytest.raises(FracvarError, match="not positive definite"):
             minimize_energy(spec_1d(16, lambda t: np.sin(3.0 * t)))
 
@@ -465,50 +465,19 @@ class TestFastDiagonalization:
 
 
 class TestUniqueness:
-    def test_different_inits_agree(self):
-        spec = spec_1d(48, lambda t: t, pset=LEFT, tol=1e-10)
-        rng = np.random.default_rng(11)
-        interior = spec.grid.interior_mask()
-        inits = []
-        for _ in range(2):
-            vals = transfinite_init(spec.grid, spec.boundary).values[0].copy()
-            vals[interior] += rng.standard_normal(interior.sum())
-            inits.append(Field(spec.grid, vals))
-        assert uniqueness_check(spec, inits[0], inits[1]) <= 100.0 * spec.tol
-
     @pytest.mark.parametrize("name", ["1d-two-sided-rl", "2d-two-sided-rl",
                                       "3d-two-sided"])
-    def test_solver_data_built_once(self, name, monkeypatch):
-        # Both solves read one set of Gram rows and one preconditioner, and
-        # each equals a minimize_energy call of its own bitwise.
+    def test_different_inits_agree(self, name):
+        # The minimizer is unique: two solves from random inits agree.
         spec = anisotropic_spec(ONE_D.get(name) or ANISOTROPIC[name],
                                 tol=1e-10)
         interior = spec.grid.interior_mask()
         rng = np.random.default_rng(13)
-        inits = []
+        solutions = []
         for _ in range(2):
             vals = transfinite_init(spec.grid, spec.boundary).values[0].copy()
             vals[interior] += rng.standard_normal(interior.sum())
-            inits.append(Field(spec.grid, vals))
-        separate = [minimize_energy(spec, init).field.values for init in inits]
-
-        builds, solved = [], []
-        solver_data = fracvar.dirichlet._solver_data
-        minimize = fracvar.dirichlet._minimize
-
-        def counting_data(*args):
-            builds.append(1)
-            return solver_data(*args)
-
-        def recording(*args):
-            result = minimize(*args)
-            solved.append(result.field.values)
-            return result
-        monkeypatch.setattr(fracvar.dirichlet, "_solver_data", counting_data)
-        monkeypatch.setattr(fracvar.dirichlet, "_minimize", recording)
-        diff = uniqueness_check(spec, *inits)
-        assert len(builds) == 1
-        assert len(solved) == 2
-        for got, want in zip(solved, separate):
-            np.testing.assert_array_equal(got, want)
-        assert diff == float(np.max(np.abs(separate[0] - separate[1])))
+            solutions.append(
+                minimize_energy(spec, Field(spec.grid, vals)).field.values)
+        assert (np.max(np.abs(solutions[0] - solutions[1]))
+                <= 100.0 * spec.tol)

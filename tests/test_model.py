@@ -199,6 +199,13 @@ class TestGrids:
         assert mask.sum() == 1
         assert mask[1, 1]
 
+    @pytest.mark.parametrize("sizes", [(2,), (7,), (3, 5), (4, 2, 6)])
+    def test_interior_mask_is_strictly_inside_every_axis(self, sizes):
+        grid = GridND(tuple(make_uniform_grid(0.0, 1.0, n) for n in sizes))
+        inside = np.logical_and.reduce(np.broadcast_arrays(
+            *[(t > 0.0) & (t < 1.0) for t in grid.coords()]))
+        np.testing.assert_array_equal(grid.interior_mask(), inside)
+
 
 class TestField:
     def test_shape_checks(self):

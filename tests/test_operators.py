@@ -75,18 +75,24 @@ class TestPlanConstruction:
         with pytest.raises(AxisError):
             apply_op_nd(plan, f)
 
-    @pytest.mark.parametrize("kind, order, axis, error", [
+    @pytest.mark.parametrize("kind, order, kernel, axis, error", [
         # The string fails "kind is OpKind.K", so it was built as an A/B
         # plan of effective order 1 - 0.3.
-        ("K", 0.3, 0, DomainError),
-        (OpKind.K, 0.3, 0.0, AxisError),
-        (OpKind.K, 0.3, True, AxisError),
-        (OpKind.K, "0.5", 0, OrderError),
-    ], ids=["string-kind", "float-axis", "bool-axis", "string-order"])
-    def test_argument_types(self, kind, order, axis, error):
+        ("K", 0.3, rl_kernel(), 0, DomainError),
+        (OpKind.K, 0.3, rl_kernel(), 0.0, AxisError),
+        (OpKind.K, 0.3, rl_kernel(), True, AxisError),
+        (OpKind.K, "0.5", rl_kernel(), 0, OrderError),
+        # True was taken as order 1: a constant-kernel plan of order True
+        # was built, and an RL kernel raised a DomainError for its order.
+        (OpKind.K, True, constant_kernel(), 0, OrderError),
+        (OpKind.K, True, rl_kernel(), 0, OrderError),
+        (OpKind.K, np.True_, constant_kernel(), 0, OrderError),
+    ], ids=["string-kind", "float-axis", "bool-axis", "string-order",
+            "bool-order-constant", "bool-order-rl", "numpy-bool-order"])
+    def test_argument_types(self, kind, order, kernel, axis, error):
         g = make_uniform_grid(0.0, 1.0, 8)
         with pytest.raises(error):
-            make_plan(kind, order, LEFT, rl_kernel(), g, axis=axis)
+            make_plan(kind, order, LEFT, kernel, g, axis=axis)
 
     def test_numpy_scalar_arguments_accepted(self):
         g = make_uniform_grid(0.0, 1.0, 8)

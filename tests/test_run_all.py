@@ -55,3 +55,19 @@ def test_tolerance_failure_outranks_pass(tmp_path, monkeypatch):
     (configs / "b.json").write_bytes(
         (ROOT / "configs" / "op_apply_halfint.json").read_bytes())
     assert run_all(monkeypatch, configs, tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_refused(tmp_path, monkeypatch, capsys, jobs):
+    # Exit status 2 and a usage message, as ``fracvar --jobs 0``; no config
+    # runs (it used to run serially and exit 0).
+    monkeypatch.setattr(sys, "argv", ["run_all.py", "--configs",
+                                      str(ROOT / "configs"), "--output-dir",
+                                      str(tmp_path), "--jobs", jobs])
+    with pytest.raises(SystemExit) as exc:
+        load_run_all().main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--jobs must be >= 1" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
