@@ -26,10 +26,10 @@ bad value raises ConfigError naming the key in ``field``.  A command's
 schema is also the list of the problem keys it accepts, beside
 ``interval``, ``ndim`` and ``size``: any other key, an expression the
 command does not read or a misspelt key alike, is an error, as is any
-other top-level key.  Numbers must be finite (the NaN and Infinity literals
-that Python's json reads are rejected) and flags must be JSON true or
-false.  The runner gets the resolved Problem and adds only what depends on
-the grid.
+other top-level key.  Numbers are ``model._is_real`` (NaN, Infinity and
+1e999 are not) and integers ``model._is_integer``: a bool is neither, and
+flags must be JSON true or false.  The runner gets the resolved Problem
+and adds only what depends on the grid.
 
 Tolerance keys refer to CSV columns: a bare column name bounds the last
 row's value, ``<column>_max`` bounds the maximum over rows,
@@ -49,8 +49,9 @@ import numpy as np
 
 from .errors import ConfigError, FracvarError
 from .exprs import parse_function
-from .model import (GridND, KernelSpec, ParamSet, constant_kernel,
-                    make_uniform_grid, rl_kernel, tabulated_kernel)
+from .model import (GridND, KernelSpec, ParamSet, _is_integer, _is_real,
+                    constant_kernel, make_uniform_grid, rl_kernel,
+                    tabulated_kernel)
 from .noether import SymmetryGenerator
 from .operators import OpKind
 from .variational import BUILTIN_LAGRANGIANS, Lagrangian
@@ -77,18 +78,6 @@ class ExperimentConfig:
     tolerances: dict[str, Any]
     seed: int
     output_path: str
-
-
-def _number(value: Any) -> bool:
-    """A JSON number with a finite float value; JSON true and false are not
-    numbers.  1e999 reads as inf, and float() of an integer beyond the
-    float range raises OverflowError."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= float(np.finfo(float).max))
-
-
-def _integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_constant(token: str):
@@ -120,14 +109,14 @@ def load_config(path: str) -> ExperimentConfig:
     sweep = raw.get("sweep")
     if sweep is not None:
         if (not isinstance(sweep, list) or not sweep
-                or not all(_integer(n) and n >= 4 for n in sweep)):
+                or not all(_is_integer(n) and n >= 4 for n in sweep)):
             raise ConfigError("'sweep' must be a list of integers >= 4",
                               field="sweep")
         if len(set(sweep)) != len(sweep):
             raise ConfigError("'sweep' must not repeat a size", field="sweep")
         sweep = tuple(sweep)
     size = problem.get("size", 64)
-    if not (_integer(size) and size >= 4):
+    if not (_is_integer(size) and size >= 4):
         raise ConfigError("'size' must be an integer >= 4", field="size")
 
     tolerances = raw.get("tolerances", {})
@@ -136,14 +125,14 @@ def load_config(path: str) -> ExperimentConfig:
     for key, val in tolerances.items():
         if key == "order_est_range":
             if (not isinstance(val, list) or len(val) != 2
-                    or not all(_number(v) for v in val)):
+                    or not all(_is_real(v) for v in val)):
                 raise ConfigError("'order_est_range' must be [lo, hi]",
                                   field=key)
-        elif not _number(val):
+        elif not _is_real(val):
             raise ConfigError(f"tolerance {key!r} must be a number", field=key)
 
     seed = raw.get("seed", 42)
-    if not (_integer(seed) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise ConfigError("'seed' must be an integer >= 0", field="seed")
 
     output_path = raw.get("output_path")
@@ -169,11 +158,11 @@ def _resolve_problem(command: str, raw: dict, size: int, seed: int) -> Problem:
     _reject_unknown(raw, dict.fromkeys(("interval", "ndim", "size", *schema)))
     iv = raw.get("interval", [0.0, 1.0])
     if (not isinstance(iv, list) or len(iv) != 2
-            or not all(_number(v) for v in iv) or not iv[0] < iv[1]):
+            or not all(_is_real(v) for v in iv) or not iv[0] < iv[1]):
         raise ConfigError("'interval' must be [a, b] with a < b",
                           field="interval")
     ndim = raw.get("ndim", 1)
-    if not (_integer(ndim) and 1 <= ndim <= 3):
+    if not (_is_integer(ndim) and 1 <= ndim <= 3):
         raise ConfigError("'ndim' must be 1, 2, or 3", field="ndim")
     problem = Problem(ndim=ndim, interval=(float(iv[0]), float(iv[1])),
                       size=size, seed=seed)
@@ -212,7 +201,7 @@ def _psets(count: Optional[Callable] = None) -> Callable:
                               f"({n})", field=key)
         for e in entries:
             if (not isinstance(e, list) or len(e) != 2
-                    or not all(_number(v) for v in e)):
+                    or not all(_is_real(v) for v in e)):
                 raise ConfigError("each p-set must be [p, q]", field=key)
         return [ParamSet(*problem.interval, float(p), float(q))
                 for p, q in entries]
@@ -227,7 +216,7 @@ def _orders(count: Optional[Callable] = None, optional: bool = False
         n = count(raw, problem.ndim) if count else problem.ndim
         entries = _required(raw, key)
         if (not isinstance(entries, list) or len(entries) != n
-                or not all(_number(v) for v in entries)):
+                or not all(_is_real(v) for v in entries)):
             raise ConfigError(f"{key!r} must list one order per axis ({n})",
                               field=key)
         return [float(v) for v in entries]
@@ -243,7 +232,7 @@ def _kernel(entry: Any, key: str) -> KernelSpec:
         samples = entry["tabulated"]
         if not (isinstance(samples, list)
                 and all(isinstance(row, list) and len(row) == 2
-                        and all(_number(v) for v in row) for row in samples)):
+                        and all(_is_real(v) for v in row) for row in samples)):
             raise ConfigError("a tabulated kernel must be a list of [s, k] "
                               "number pairs", field=key)
         try:
@@ -275,7 +264,7 @@ def _op(raw: dict, key: str, problem: Problem) -> OpKind:
 
 def _axis(raw: dict, key: str, problem: Problem) -> int:
     axis = raw.get(key, 0)
-    if not _integer(axis) or not 0 <= axis < problem.ndim:
+    if not _is_integer(axis) or not 0 <= axis < problem.ndim:
         raise ConfigError(f"'axis' must lie in [0, {problem.ndim})",
                           field="axis")
     return axis
@@ -299,7 +288,7 @@ def _flag(raw: dict, key: str, problem: Problem) -> bool:
 def _positive(default: float) -> Callable:
     def resolve(raw: dict, key: str, problem: Problem) -> float:
         val = raw.get(key, default)
-        if not _number(val) or val <= 0:
+        if not _is_real(val) or val <= 0:
             raise ConfigError(f"{key!r} must be a positive number", field=key)
         return float(val)
     return resolve

@@ -36,7 +36,6 @@ the stopping rule is its max norm falling below ``tol``.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -47,7 +46,7 @@ from .errors import (DegenerateEnergy, DomainError, FracvarError,
                      NoConvergence)
 from .ibp import _trapezoid_sum
 from .model import (Field, GridND, KernelSpec, ParamSet, _check_per_axis,
-                    check_admissible, check_field)
+                    _is_integer, _is_real, check_admissible, check_field)
 from .operators import (OpKind, _adjoint, _apply, _matmul_along,
                         apply_matrix_along_axis, axis_plans)
 
@@ -56,7 +55,9 @@ from .operators import (OpKind, _adjoint, _apply, _matmul_along,
 class DirichletSpec:
     """Problem data: grid, per-axis (pset, alpha, kernel), boundary trace
     psi (scalar field; only its boundary nodes are read), solver tolerance
-    and iteration cap (None for the default, 10 per interior node)."""
+    and iteration cap (None for the default, 10 per interior node).
+    Raises DomainError unless tol is real (``model._is_real``) and positive,
+    and max_iter is None or an integer (``model._is_integer``) >= 0."""
 
     grid: GridND
     psets: tuple[ParamSet, ...]
@@ -70,14 +71,11 @@ class DirichletSpec:
     def __post_init__(self) -> None:
         _check_per_axis(self, "psets", "alphas", "kernels")
         check_field(self.boundary, self.grid, 1)
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not 0.0 < self.tol < math.inf):
+        if not (_is_real(self.tol) and self.tol > 0.0):
             raise DomainError(
                 f"tol must be a positive finite number, got {self.tol!r}")
         m = self.max_iter
-        if m is not None and (isinstance(m, bool)
-                              or not isinstance(m, (int, np.integer))
-                              or m < 0):
+        if m is not None and not (_is_integer(m) and m >= 0):
             raise DomainError(
                 f"max_iter must be None or an integer >= 0, got {m!r}")
 

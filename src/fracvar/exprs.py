@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArityError, EvalError, ParseError
+from .errors import ArityError, DomainError, EvalError, ParseError
+from .model import _is_integer
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -190,9 +191,17 @@ def parse_function(text: str, arity: int, allow_u: bool = False) -> Callable:
     ``coords`` is a sequence of broadcastable coordinate arrays (one per
     axis, as produced by GridND.coords()); ``u`` is the field-value array
     when the expression uses it.  The result is broadcast over the grid.
-    Non-finite values anywhere raise EvalError.
+    Non-finite values anywhere raise EvalError.  Raises DomainError unless
+    arity is an integer (``model._is_integer``) >= 1; below 1 it is checked
+    after parsing, so that a variable raises ArityError at its position
+    first, as at any arity too small for it.
     """
+    bad_arity = DomainError(f"arity must be an integer >= 1, got {arity!r}")
+    if not _is_integer(arity):
+        raise bad_arity
     node = _Parser(text, arity, allow_u).parse()
+    if arity < 1:
+        raise bad_arity
 
     def evaluate(coords: Sequence[np.ndarray], u: Optional[np.ndarray] = None):
         env = list(coords) + [u]

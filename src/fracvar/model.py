@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -28,6 +27,24 @@ MAX_CELLS_PER_AXIS = 4096
 #: Largest boundary-trace deviation an admissible field may show.
 _BOUNDARY_TOL = 1e-12
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_real(x) -> bool:
+    """The one real-number rule (callers add range and error type): a
+    finite int, float or numpy integer or floating scalar, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _is_integer(x) -> bool:
+    """The one integer rule: an int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -36,7 +53,7 @@ class ParamSet:
     ``p`` weights the integral over (a, t) and ``q`` the integral over
     (t, b).  The evaluation variable t ranges over the grid and is supplied
     by the operator, so only (a, b, p, q) are stored.  Raises DomainError
-    unless a, b, p and q are finite and a < b.
+    unless a, b, p and q are real (``_is_real``) and a < b.
     """
 
     a: float
@@ -45,10 +62,10 @@ class ParamSet:
     q: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.a, self.b, self.p, self.q))):
+        if not all(map(_is_real, (self.a, self.b, self.p, self.q))):
             raise DomainError(
-                f"ParamSet requires finite a, b, p, q, got a={self.a}, "
-                f"b={self.b}, p={self.p}, q={self.q}")
+                f"ParamSet requires finite real a, b, p, q, got a={self.a!r}, "
+                f"b={self.b!r}, p={self.p!r}, q={self.q!r}")
         if not (self.a < self.b):
             raise DomainError(f"ParamSet requires a < b, got a={self.a}, b={self.b}")
 
@@ -81,8 +98,8 @@ class KernelSpec:
     for A/B-ops).  If set, it must match that effective order.
 
     Raises DomainError unless family is a KernelFamily, unless an RL order is
-    None or a real number in (0, 1] (a bool is refused), and unless order is
-    None for the other families.
+    None or real (``_is_real``) in (0, 1], and unless order is None for the
+    other families.
 
     Kernels compare and hash by content: family, order and the bytes of
     the samples (a read-only copy), so equal kernels built apart are equal
@@ -100,10 +117,8 @@ class KernelSpec:
             raise DomainError(
                 f"kernel family must be a KernelFamily, got {self.family!r}")
         if self.family is KernelFamily.RIEMANN_LIOUVILLE:
-            if self.order is not None and (
-                    isinstance(self.order, bool)
-                    or not isinstance(self.order, numbers.Real)
-                    or not 0.0 < self.order <= 1.0):
+            if self.order is not None and not (
+                    _is_real(self.order) and 0.0 < self.order <= 1.0):
                 raise DomainError(
                     f"Riemann-Liouville kernel order must be a real number in "
                     f"(0, 1], got {self.order!r}")
@@ -152,8 +167,8 @@ def tabulated_kernel(samples: np.ndarray) -> KernelSpec:
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid with n cells on [a, b]; n+1 nodes, endpoints exact.
-    Raises DomainError unless a, b and b - a are finite, a < b and n is an
-    integer (int or numpy integer) with 2 <= n <= MAX_CELLS_PER_AXIS."""
+    Raises DomainError unless a, b and b - a are ``_is_real``, a < b and n is
+    ``_is_integer`` with 2 <= n <= MAX_CELLS_PER_AXIS."""
 
     a: float
     b: float
@@ -161,11 +176,11 @@ class Grid1D:
     nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # b - a is not finite when a or b is not, or when the span overflows.
-        if not math.isfinite(self.b - self.a):
-            raise DomainError(f"grid requires finite a, b and b - a, got "
-                              f"a={self.a}, b={self.b}")
-        if not isinstance(self.n, (int, np.integer)):
+        if not (_is_real(self.a) and _is_real(self.b)
+                and _is_real(self.b - self.a)):
+            raise DomainError(f"grid requires finite real a, b and b - a, "
+                              f"got a={self.a!r}, b={self.b!r}")
+        if not _is_integer(self.n):
             raise DomainError(
                 f"grid requires an integer n, got {self.n!r}")
         if not (self.a < self.b):
@@ -190,8 +205,7 @@ class Grid1D:
 
 
 def make_uniform_grid(a: float, b: float, n: int) -> Grid1D:
-    """Uniform 1D grid; raises DomainError as Grid1D does (a >= b, a
-    non-finite end, n not an integer in 2..MAX_CELLS_PER_AXIS)."""
+    """Uniform 1D grid; raises DomainError as Grid1D does."""
     return Grid1D(a, b, n)
 
 
@@ -306,7 +320,16 @@ class Field:
 
     @staticmethod
     def constant(grid: GridND, value: float, ncomp: int = 1) -> "Field":
-        return Field(grid, np.full((ncomp,) + grid.shape, float(value)))
+        """value on every node of ncomp components; raises DomainError
+        unless ncomp is an integer (``_is_integer``) >= 1 and value is one
+        scalar that passes the Field dtype and finiteness rule."""
+        if not (_is_integer(ncomp) and ncomp >= 1):
+            raise DomainError(
+                f"ncomp must be an integer >= 1, got {ncomp!r}")
+        if np.ndim(value) != 0:
+            raise DomainError(f"a constant field takes one value, got "
+                              f"{value!r}")
+        return Field(grid, np.full((ncomp,) + grid.shape, value))
 
 
 def check_field(f: Field, grid: GridND, ncomp: Optional[int] = None) -> None:
@@ -319,10 +342,9 @@ def check_field(f: Field, grid: GridND, ncomp: Optional[int] = None) -> None:
 
 
 def _check_axis_index(axis: int) -> None:
-    """Raise AxisError unless axis is a nonnegative int or numpy integer; a
-    bool or a float is refused."""
-    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
-            or axis < 0):
+    """Raise AxisError unless axis is a nonnegative integer
+    (``_is_integer``)."""
+    if not _is_integer(axis) or axis < 0:
         raise AxisError(f"axis must be a nonnegative integer, got {axis!r}")
 
 

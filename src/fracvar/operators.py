@@ -64,7 +64,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,7 @@ import numpy as np
 from .errors import (AxisError, DomainError, GridMismatch, OrderError,
                      RangeError)
 from .model import (Field, Grid1D, GridND, KernelFamily, KernelSpec, ParamSet,
-                    _check_axis_index, check_axis)
+                    _check_axis_index, _is_real, check_axis)
 
 class OpKind(enum.Enum):
     K = "K"
@@ -277,13 +276,13 @@ def make_plan(kind: OpKind, order: float, pset: ParamSet, kernel: KernelSpec,
     cache and computed only on a miss.
 
     Raises DomainError unless kind is an OpKind (its string value is not
-    accepted), OrderError unless order is a real number (int, float or a
-    numpy integer or floating scalar) in the kind's range, and AxisError
-    unless axis is a nonnegative int or numpy integer; a bool is neither.
+    accepted), OrderError unless order is real (``model._is_real``) in the
+    kind's range, and AxisError unless axis is a nonnegative integer
+    (``model._is_integer``).
     """
     if not isinstance(kind, OpKind):
         raise DomainError(f"kind must be an OpKind, got {kind!r}")
-    if isinstance(order, bool) or not isinstance(order, numbers.Real):
+    if not _is_real(order):
         raise OrderError(f"order must be a real number, got {order!r}")
     if kind is OpKind.K:
         if not (0.0 < order <= 1.0):

@@ -14,6 +14,14 @@ Euler-Lagrange residual of the fully fractional problem is
 zero at extremals.  A mixed variant replaces the w block by the classical
 gradient and reads sum_i [ A_{P1*} dF/dv + d/dt_i dF/dw ] - dF/du.
 
+The classical-space wave operator has two discretizations:
+``wave_residual`` takes the compact second difference, and
+``el_residual_mixed`` of ``wave_lagrangian`` the derivative of the
+derivative.  So the latter is -2x the former only up to O(h^2): on
+sin(2t+0.3) cos(3x), with a residual of about 8, they differ by 0.34 /
+0.044 / 0.0084 at n = 16 / 64 / 256.  On data affine in space both
+classical terms vanish.
+
 Realizations of the starred operators: A_{P*} is minus the exact transpose
 of the B plan in the trapezoid inner product, in the Euler-Lagrange and the
 wave residuals alike, and no A plan is built here.  So residuals of
@@ -35,7 +43,6 @@ array it writes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,7 +52,8 @@ from .errors import (DomainError, GradientCheckError, GridMismatch,
                      LengthMismatch)
 from .ibp import volume_integral
 from .model import (Field, Grid1D, GridND, KernelSpec, ParamSet,
-                    _check_per_axis, check_admissible, check_field, dual)
+                    _check_per_axis, _is_integer, _is_real, check_admissible,
+                    check_field, dual)
 from .operators import (OpKind, _adjoint, _apply, axis_plans,
                         derivative_along_axis, make_plan)
 
@@ -85,7 +93,12 @@ class Lagrangian:
     @staticmethod
     def define(n: int, N: int, eval_fn, d_u, d_v, d_w, name: str = "") -> "Lagrangian":
         """Build a Lagrangian, validating the supplied partials against
-        central finite differences of eval_fn at random arguments."""
+        central finite differences of eval_fn at random arguments.  Raises
+        DomainError unless n and N are integers (``model._is_integer``)
+        >= 1."""
+        if not (_is_integer(n) and n >= 1 and _is_integer(N) and N >= 1):
+            raise DomainError(f"a Lagrangian needs integers n >= 1 and "
+                              f"N >= 1, got n={n!r}, N={N!r}")
         lag = Lagrangian(n, N, eval_fn, d_u, d_v, d_w, name)
         _gradient_check(lag)
         return lag
@@ -313,11 +326,11 @@ def _second_diff_along_axis(values: np.ndarray, grid: Grid1D, axis: int) -> np.n
 
 
 def _check_wave_coefficients(rho: float, stiffness: float) -> None:
-    """Raise DomainError unless rho and stiffness are finite and positive
-    (NaN and inf are refused)."""
-    if not (0.0 < rho < math.inf and 0.0 < stiffness < math.inf):
+    """Raise DomainError unless rho and stiffness are real
+    (``model._is_real``) and positive."""
+    if not (_is_real(rho) and _is_real(stiffness) and rho > 0 and stiffness > 0):
         raise DomainError(f"rho and stiffness must be finite and positive, "
-                          f"got {rho}, {stiffness}")
+                          f"got {rho!r}, {stiffness!r}")
 
 
 def wave_residual(u: Field, rho: float, stiffness: float,

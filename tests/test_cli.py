@@ -67,14 +67,19 @@ def test_header_names_every_column(config, tmp_path):
     assert len(set(header)) == len(header)
 
 
-def test_import_loads_no_scipy():
-    # Importing scipy.linalg alone would add about 0.2 s and 28 MB of RSS
-    # to every `fracvar` run (measured on a 2-core x86-64 VM).
+def test_import_loads_no_lazy_modules():
+    # Each is imported on first use only, or never: numpy.polynomial (the
+    # Gauss nodes of tabulated kernels), concurrent.futures (--jobs > 1
+    # sweeps, which brings in logging), scipy (scipy.linalg alone would add
+    # about 0.2 s and 28 MB of RSS to every `fracvar` run, measured on a
+    # 2-core x86-64 VM) and mpmath (test references only).
+    lazy = ("numpy.polynomial", "concurrent.futures", "scipy", "mpmath")
     src = str(Path(fracvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import json, sys, fracvar, fracvar.cli; print(json.dumps("
-            "[m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    prefixes = tuple(m + "." for m in lazy)
+    code = ("import json, sys, fracvar.cli; print(json.dumps(sorted("
+            f"m for m in sys.modules if (m + '.').startswith({prefixes!r}))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == []

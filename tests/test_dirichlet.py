@@ -115,10 +115,11 @@ class TestSpecValidation:
         assert spec_1d(8, lambda t: t, max_iter=max_iter).max_iter == max_iter
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True,
-                                     np.True_, "1e-10"])
+                                     np.True_, "1e-10", 10 ** 400])
     def test_tol_must_be_positive_and_finite(self, tol):
         # A NaN or infinite tol stopped CG before its first iteration; True
-        # was taken as tol 1, and a string raised a bare TypeError.
+        # was taken as tol 1, a string raised a bare TypeError, and 10**400
+        # passed as finite.
         with pytest.raises(DomainError, match="tol"):
             spec_1d(8, lambda t: t, tol=tol)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracvar import parse_function
-from fracvar.errors import ArityError, EvalError, ParseError
+from fracvar.errors import ArityError, DomainError, EvalError, ParseError
 
 
 def ev(text, arity=1, coords=None, u=None, allow_u=False):
@@ -80,6 +80,16 @@ class TestVariables:
             parse_function("t0", 2)
         with pytest.raises(ArityError, match="'x' needs a space axis"):
             parse_function("x", 0)
+
+    @pytest.mark.parametrize("text, arity", [
+        ("t2 + 1", 1.5), ("1", 2.0), ("1", True), ("1", "1"), ("1", None),
+        ("1", 0), ("1", -1)], ids=repr)
+    def test_arity_must_be_a_positive_integer(self, text, arity):
+        # parse_function("t2 + 1", 1.5) parsed, and evaluating it on 1D
+        # coordinates raised a bare TypeError.  Below 1 the arity is checked
+        # after parsing, so "x" above still raises ArityError.
+        with pytest.raises(DomainError, match="arity"):
+            parse_function(text, arity)
 
     def test_x_alias(self):
         # In 1D, x is the only coordinate; with a time axis present it is the

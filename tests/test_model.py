@@ -1,5 +1,6 @@
 """Data model: parameter sets, kernels, grids, fields."""
 
+import fractions
 import math
 
 import numpy as np
@@ -11,9 +12,38 @@ from fracvar import (Field, GridND, KernelFamily, KernelSpec, ParamSet,
                      constant_kernel, dual, grid_1d, interior_max_abs,
                      make_uniform_grid, rl_kernel, tabulated_kernel)
 from fracvar.errors import DomainError, GridMismatch
-from fracvar.model import check_field
+from fracvar.model import _is_integer, _is_real, check_field
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+HUGE = 10 ** 400   # an int beyond the float range
+
+
+class TestScalarRule:
+    """``_is_real`` and ``_is_integer``, the rule every number and integer
+    argument of the package is checked by."""
+
+    @pytest.mark.parametrize("x", [0, -3, 0.5, -1e308, 10 ** 300,
+                                   np.int8(-128), np.uint64(2 ** 64 - 1),
+                                   np.float16(65504.0), np.float64(-0.0)])
+    def test_real_accepts_finite_numbers(self, x):
+        assert _is_real(x)
+
+    @pytest.mark.parametrize("x", [
+        "0.5", None, 1j, True, False, np.True_, HUGE, -HUGE, math.nan,
+        math.inf, -math.inf, np.float32(math.inf), [0.5],
+        fractions.Fraction(1, 2)], ids=repr)
+    def test_real_refuses(self, x):
+        # A huge int used to escape as OverflowError.
+        assert not _is_real(x)
+
+    @pytest.mark.parametrize("x", [0, -1, HUGE, np.int64(7), np.uint8(255)])
+    def test_integer_accepts_integers(self, x):
+        assert _is_integer(x)
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, 1.0, 1.5,
+                                   np.float64(2.0), "2", None], ids=repr)
+    def test_integer_refuses(self, x):
+        assert not _is_integer(x)
 
 
 class TestParamSet:
@@ -28,10 +58,12 @@ class TestParamSet:
             ParamSet(2.0, -1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("field", ["a", "b", "p", "q"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5",
+                                     None, 1j, HUGE, True, False, np.True_])
     def test_rejects_non_finite_entries(self, field, bad):
         # A NaN or infinite weight used to be accepted and fail only at an
-        # apply, after numpy RuntimeWarnings.
+        # apply, after numpy RuntimeWarnings; "0.5", None and 1j raised a
+        # bare TypeError, HUGE an OverflowError, and a bool built.
         args = dict(a=0.0, b=1.0, p=0.5, q=0.5)
         args[field] = bad
         with pytest.raises(DomainError, match="finite"):
@@ -160,16 +192,20 @@ class TestGrids:
 
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
                                       (math.nan, 1.0), (0.0, math.nan),
-                                      (-1e308, 1e308)])
+                                      (-1e308, 1e308), (False, 1.0),
+                                      ("0", 1.0), (0.0, HUGE), (-HUGE, 0.0)])
     def test_rejects_non_finite_ends(self, a, b):
         # (0, inf) and (-1e308, 1e308), whose span overflows, used to build
-        # NaN nodes.
+        # NaN nodes; False built, "0" raised a bare TypeError and HUGE an
+        # OverflowError.
         with pytest.raises(DomainError, match="finite"):
             make_uniform_grid(a, b, 4)
 
-    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(4.0), "4", None])
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(4.0), "4", None,
+                                   True])
     def test_rejects_non_integer_size(self, n):
-        # Floats used to raise a bare TypeError from np.linspace.
+        # Floats used to raise a bare TypeError from np.linspace; True
+        # passed the integer test and failed only on n >= 2.
         with pytest.raises(DomainError, match="integer n"):
             make_uniform_grid(0.0, 1.0, n)
 
@@ -262,6 +298,27 @@ class TestField:
         f = Field.constant(grid_1d(0.0, 1.0, 3), 2.5, ncomp=2)
         assert f.ncomp == 2
         assert np.all(f.values == 2.5)
+
+    @pytest.mark.parametrize("value", ["a", "1.5", None, 1j, HUGE, [0.5],
+                                       np.ones(5), [1.0, 2.0]], ids=repr)
+    def test_constant_refuses_non_reals(self, value):
+        # These raised ValueError, TypeError or OverflowError from float().
+        with pytest.raises(DomainError):
+            Field.constant(grid_1d(0.0, 1.0, 4), value)
+
+    @pytest.mark.parametrize("ncomp", [True, 1.5, 0, -1, "1"], ids=repr)
+    def test_constant_refuses_bad_component_counts(self, ncomp):
+        with pytest.raises(DomainError, match="ncomp"):
+            Field.constant(grid_1d(0.0, 1.0, 4), 1.0, ncomp)
+
+    @pytest.mark.parametrize("value", [0, 1, -7, True, 0.1, -2.5e300,
+                                       np.float32(0.1), np.int64(3), 2 ** 63,
+                                       np.float64(5e-324)], ids=repr)
+    def test_constant_keeps_the_float_bits(self, value):
+        # np.full and the Field dtype rule give the bits float(value) gave.
+        f = Field.constant(grid_1d(0.0, 1.0, 4), value, 2)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, np.full((2, 5), float(value)))
 
     def test_equal_fields_compare_equal(self):
         grid = grid_1d(0.0, 1.0, 4)

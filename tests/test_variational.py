@@ -90,12 +90,29 @@ class TestLagrangian:
     @pytest.mark.parametrize("factory, kwargs", [
         (wave_lagrangian, {"rho": np.nan}),
         (wave_lagrangian, {"rho": -1.0}),
-        (frac_wave_lagrangian, {"stiffness": np.inf})],
-        ids=["wave-rho-nan", "wave-rho-negative", "frac-wave-stiffness-inf"])
+        (frac_wave_lagrangian, {"stiffness": np.inf}),
+        (wave_lagrangian, {"rho": "1"}),
+        (frac_wave_lagrangian, {"rho": True}),
+        (wave_lagrangian, {"stiffness": np.True_}),
+        (frac_wave_lagrangian, {"stiffness": 10 ** 400})],
+        ids=["wave-rho-nan", "wave-rho-negative", "frac-wave-stiffness-inf",
+             "wave-rho-str", "frac-wave-rho-bool", "wave-stiffness-np-bool",
+             "frac-wave-stiffness-huge"])
     def test_wave_lagrangians_require_finite_positive_coefficients(
             self, factory, kwargs):
         with pytest.raises(DomainError, match="finite and positive"):
             factory(2, **kwargs)
+
+    @pytest.mark.parametrize("n, N", [(True, 1), (1.5, 1), (1, 0), (0, 1),
+                                      (1, True), (2, 1.0), ("1", 1)],
+                             ids=repr)
+    @pytest.mark.parametrize("factory", [dirichlet_energy_lagrangian,
+                                         integral_coupling_lagrangian])
+    def test_dimensions_must_be_positive_integers(self, factory, n, N):
+        # A bool or float raised a bare TypeError, and N = 0 built a
+        # Lagrangian with no components.
+        with pytest.raises(DomainError, match="integers n >= 1 and N >= 1"):
+            factory(n, N)
 
     def test_spec_validates_lengths(self):
         grid = grid_1d(0.0, 1.0, 8)
@@ -439,11 +456,14 @@ class TestWaveResidual:
             wave_residual(u4, 1.0, 1.0, (LEFT, 0.5, rl_kernel()))
 
     @pytest.mark.parametrize("rho, stiffness", [
-        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)],
-        ids=["rho-nan", "stiffness-nan", "rho-inf", "stiffness-inf"])
+        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+        ("1", 1.0), (True, 1.0), (None, 1.0), (1.0, 10 ** 400)],
+        ids=["rho-nan", "stiffness-nan", "rho-inf", "stiffness-inf",
+             "rho-str", "rho-bool", "rho-none", "stiffness-huge"])
     def test_non_finite_parameters_rejected(self, rho, stiffness):
         # NaN passed "<= 0" and failed later as a non-finite field; inf
-        # first made numpy warn of inf * 0.
+        # first made numpy warn of inf * 0; a string or None raised a bare
+        # TypeError, True built and 10**400 raised OverflowError.
         u = Field.constant(self.grid2(8), 1.0)
         with pytest.raises(DomainError, match="finite and positive"):
             wave_residual(u, rho, stiffness, (LEFT, 0.5, rl_kernel()))
